@@ -21,6 +21,7 @@ from .pathway import PathwayError, plan_pathway
 from .report import geojson_from_document, reports_from_document
 from .report import export_csv, path_document
 from .scenario import ScenarioError, default_scenario, load_scenario
+from .solver import SolverError
 from .twin import TimeGrid, TwinError, load_twin, save_twin
 
 EXIT_OK = 0
@@ -51,12 +52,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".", help="output directory (default: .)")
     p.add_argument("--objective", default="cost",
                    choices=("cost", "emission", "weighted"))
-    p.add_argument("--backend", default=None,
+    p.add_argument("--backend", default=None, type=_backend_arg,
                    help="solver backend (highs, reference, external:<cmd>); "
                         "MUNIPATH_SOLVER overrides")
     p.add_argument("--mip-gap", type=float, default=1e-4,
                    help="relative MIP gap (default 1e-4)")
-    p.add_argument("--time-limit", type=float, default=None,
+    p.add_argument("--time-limit", type=_positive_seconds, default=None,
                    help="per-solve time limit in seconds; MUNIPATH_TIME_LIMIT overrides")
     p.add_argument("--workers", type=int, default=None,
                    help="parallel building solves (default: CPU count)")
@@ -85,6 +86,23 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
                    help="technology catalog JSON (default: built-in)")
     p.add_argument("--scenario", default=None,
                    help="scenario frame JSON (default: built-in)")
+
+
+def _backend_arg(value: str) -> str:
+    if value in ("highs", "reference") or (
+            value.startswith("external:") and value[len("external:"):].strip()):
+        return value
+    raise argparse.ArgumentTypeError(
+        f"unknown backend {value!r} (expected highs, reference or external:<cmd>)")
+
+
+def _positive_seconds(value: str) -> float:
+    try:
+        if float(value) > 0:
+            return float(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive number of seconds, got {value!r}")
 
 
 def _require_file(path: str) -> None:
@@ -129,9 +147,15 @@ def cmd_pathway(args) -> int:
         print(f"cannot parse --periods {args.periods!r}", file=sys.stderr)
         return EXIT_IO
     params = {"mip_gap": args.mip_gap}
-    time_limit = os.environ.get("MUNIPATH_TIME_LIMIT", args.time_limit)
+    time_limit = args.time_limit
+    if "MUNIPATH_TIME_LIMIT" in os.environ:
+        try:
+            time_limit = _positive_seconds(os.environ["MUNIPATH_TIME_LIMIT"])
+        except argparse.ArgumentTypeError as exc:
+            print(f"MUNIPATH_TIME_LIMIT: {exc}", file=sys.stderr)
+            return EXIT_IO
     if time_limit is not None:
-        params["time_limit_s"] = float(time_limit)
+        params["time_limit_s"] = time_limit
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
 
     path_obj = plan_pathway(
@@ -212,7 +236,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except PathwayError as exc:
+    except (PathwayError, SolverError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

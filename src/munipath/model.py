@@ -25,12 +25,10 @@ from .catalog import (
     TechnologySpec,
     annuity_factor,
     effective_demand,
-    opportunity_cost_of_dismantle,
     residual_value,
     variant_components,
     variant_cost,
     variant_delta_factor,
-    variant_embodied,
 )
 from .scenario import ScenarioFrame
 from .solver import LinearModel, SolveOutcome, SolveRequest, SolveStatus, solve

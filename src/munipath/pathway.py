@@ -268,8 +268,12 @@ def _solve_one(args) -> _BuildingOutcome:
             backend=backend, params=params,
         )
         baseline_obj = float(out_b.objective)
-    except (InfeasibleBuildingError, ModelError):
+    except InfeasibleBuildingError:
         baseline_obj = None
+    except ModelError as exc:
+        # a failed or time-limited baseline says nothing about feasibility,
+        # so it must not make the conversion mandatory
+        return _BuildingOutcome(building.id, None, None, f"baseline solve failed: {exc}")
     try:
         _, _, sol = optimize_building(
             building, cat, scenario, grid,

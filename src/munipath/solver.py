@@ -3,6 +3,11 @@
 Three backends sit behind one request type:
 
 * ``highs``: scipy's interface to the HiGHS MILP solver, the default.
+  It runs with the RENS and RINS sub-MIP heuristics switched off: on the
+  per-building models (about 30 binaries) they spend most of the LP
+  iterations and find nothing that branch and bound does not, so the same
+  optima are proven in roughly half the time (tested with scipy 1.17.1,
+  HiGHS 1.12.0).
 * ``reference``: a self-contained dense two-phase primal simplex plus
   branch and bound.  Slow but transparent; every LP solve is certified
   against its dual, so it doubles as the trust anchor in tests.
@@ -24,6 +29,7 @@ import shlex
 import subprocess
 import tempfile
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -284,6 +290,10 @@ def _solve_highs(request: SolveRequest) -> SolveOutcome:
     options = {
         "mip_rel_gap": float(p.get("mip_gap", 1e-6)),
         "presolve": True,
+        # HiGHS names outside milp's documented set: the sub-MIP neighbourhood
+        # searches pay off on hard MILPs, not on the small per-building models
+        "mip_heuristic_run_rens": False,
+        "mip_heuristic_run_rins": False,
     }
     if p.get("time_limit_s") is not None:
         options["time_limit"] = float(p["time_limit_s"])
@@ -294,13 +304,19 @@ def _solve_highs(request: SolveRequest) -> SolveOutcome:
             shape=(request.n_rows, request.n_vars),
         )
         constraints = optimize.LinearConstraint(a, request.row_lb, request.row_ub)
-    res = optimize.milp(
-        c=request.obj,
-        constraints=constraints,
-        integrality=request.integrality.astype(np.int8),
-        bounds=optimize.Bounds(request.var_lb, request.var_ub),
-        options=options,
-    )
+    with warnings.catch_warnings():
+        # milp forwards option names it does not document to HiGHS verbatim
+        # and says so; HiGHS itself still warns about names it does not know.
+        warnings.filterwarnings(
+            "ignore", category=RuntimeWarning,
+            message="Unrecognized options detected: .* passed to HiGHS verbatim")
+        res = optimize.milp(
+            c=request.obj,
+            constraints=constraints,
+            integrality=request.integrality.astype(np.int8),
+            bounds=optimize.Bounds(request.var_lb, request.var_ub),
+            options=options,
+        )
     wall = time.monotonic() - t0
     status = _HIGHS_STATUS.get(res.status, SolveStatus.FAILED)
     if status is SolveStatus.FEASIBLE and res.x is None:

@@ -165,6 +165,45 @@ def test_pathway_bad_periods_exits_2(tmp_path):
     assert "--periods" in res.stderr
 
 
+@pytest.fixture(scope="module")
+def twin2(tmp_path_factory):
+    twin_path = tmp_path_factory.mktemp("twin2") / "twin.json"
+    gen = run_cli("gen-fixture", "--out", str(twin_path), "--buildings", "2")
+    assert gen.returncode == 0, gen.stderr
+    return twin_path
+
+
+def test_pathway_unknown_backend_exits_2(twin2, tmp_path):
+    res = run_cli("pathway", str(twin2), "--periods", "2023,2030",
+                  "--out-dir", str(tmp_path / "out"), "--backend", "bogus")
+    assert res.returncode == 2
+    assert "--backend" in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("limit", ["-1", "0", "nan", "soon"])
+def test_pathway_non_positive_time_limit_exits_2(twin2, tmp_path, limit):
+    res = run_cli("pathway", str(twin2), "--periods", "2023,2030",
+                  "--out-dir", str(tmp_path / "out"), "--time-limit", limit)
+    assert res.returncode == 2
+    assert "--time-limit" in res.stderr
+    res = run_cli("pathway", str(twin2), "--periods", "2023,2030",
+                  "--out-dir", str(tmp_path / "out"),
+                  env_extra={"MUNIPATH_TIME_LIMIT": limit})
+    assert res.returncode == 2
+    assert "MUNIPATH_TIME_LIMIT" in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_solver_error_exits_3(twin2, tmp_path):
+    res = run_cli("pathway", str(twin2), "--periods", "2023,2030",
+                  "--out-dir", str(tmp_path / "out"), "--workers", "1",
+                  env_extra={"MUNIPATH_SOLVER": "bogus"})
+    assert res.returncode == 3
+    assert "solver failure" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_unsolvable_stock_exits_3(tmp_path):
     twin_path = tmp_path / "twin.json"
     gen = run_cli("gen-fixture", "--out", str(twin_path), "--buildings", "2",

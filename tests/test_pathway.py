@@ -5,9 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from munipath import pathway
 from munipath.catalog import CostBreakdown, variant_delta_factor
 from munipath.fixtures import make_fixture_twin
-from munipath.model import BuildingSolution
+from munipath.model import BuildingSolution, ModelError
 from munipath.pathway import (
     BUDGETED_KINDS,
     Measure,
@@ -318,8 +319,8 @@ def test_commit_removes_expired_units_silently(cat):
 # Mandatory conversions bypass the voluntary budget
 
 
-@pytest.fixture(scope="module")
-def mandatory_path(cat, scen):
+def _expiring_heating_twin(cat):
+    """Three buildings whose heating systems all reach end of life in 2028."""
     twin = make_fixture_twin(3, seed=9)
     buildings = []
     for b in twin.buildings:
@@ -329,8 +330,13 @@ def mandatory_path(cat, scen):
             if _heat_conversion_tech(cat, i.tech_id) else i
             for i in b.installed)
         buildings.append(dataclasses.replace(b, installed=installed))
-    twin = dataclasses.replace(twin, buildings=tuple(buildings))
-    return plan_pathway(twin, cat, scen, [2023, 2033], params=PARAMS)
+    return dataclasses.replace(twin, buildings=tuple(buildings))
+
+
+@pytest.fixture(scope="module")
+def mandatory_path(cat, scen):
+    return plan_pathway(_expiring_heating_twin(cat), cat, scen, [2023, 2033],
+                        params=PARAMS)
 
 
 def test_mandatory_conversions_exceed_voluntary_budget(mandatory_path):
@@ -350,6 +356,29 @@ def test_mandatory_conversions_land_on_expiry_year(mandatory_path):
 
 def test_mandatory_chain_still_verifies(mandatory_path):
     assert mandatory_path.verify_chain() == []
+
+
+def test_failed_baseline_is_not_mandatory(monkeypatch, cat, scen):
+    """Only an infeasible frozen plan makes the conversion mandatory; a
+    frozen solve that failed leaves the building unplanned for the stage."""
+    twin = _expiring_heating_twin(cat)
+    failed = twin.buildings[0].id
+    real = pathway.optimize_building
+
+    def flaky(building, *args, **kw):
+        frozen = kw.get("allow_refurb") is False and kw.get("allow_plant_change") is False
+        if frozen and building.id == failed:
+            raise ModelError(f"building {building.id!r}: solver ended with failed")
+        return real(building, *args, **kw)
+
+    monkeypatch.setattr(pathway, "optimize_building", flaky)
+    st = plan_stage(twin, cat, scen, previous_year=2023, target_year=2033,
+                    params=PARAMS)
+    assert st.infeasible[failed].startswith("baseline solve failed: ")
+    assert failed not in st.solutions
+    assert [mm for mm in st.measures if mm.building_id == failed] == []
+    others = st.measures_of("conversion")
+    assert len(others) == 2 and all(mm.mandatory for mm in others)
 
 
 # ---------------------------------------------------------------------------

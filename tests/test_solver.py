@@ -1,8 +1,10 @@
 """Solver layer: backends, certificates, LP/result files, capacity guards."""
 
+import dataclasses
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +263,32 @@ def test_time_limit_param_accepted():
                      params={"time_limit_s": 10.0}),
             backend=backend)
         assert out.status is SolveStatus.OPTIMAL
+
+
+def test_highs_runs_without_sub_mip_heuristics(monkeypatch):
+    from scipy import optimize
+
+    seen = []
+    real_milp = optimize.milp
+
+    def spy(*args, options=None, **kw):
+        seen.append(dict(options))  # milp pops keys from the dict it gets
+        return real_milp(*args, options=options, **kw)
+
+    monkeypatch.setattr(optimize, "milp", spy)
+    req = dataclasses.replace(
+        _tiny_mip(), params={"mip_gap": 0.02, "time_limit_s": 7.5})
+    with warnings.catch_warnings():
+        # HiGHS warns and carries on when it does not know an option name
+        warnings.simplefilter("error")
+        out = solve(req, backend="highs")
+    assert out.status is SolveStatus.OPTIMAL
+    assert out.objective == pytest.approx(-8.0, abs=1e-9)
+    (options,) = seen
+    assert options["mip_heuristic_run_rens"] is False
+    assert options["mip_heuristic_run_rins"] is False
+    assert options["mip_rel_gap"] == 0.02
+    assert options["time_limit"] == 7.5
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from importlib import resources
 
 import numpy as np
 
@@ -194,9 +195,6 @@ class Catalog:
             return self.techs[tech_id]
         except KeyError:
             raise CatalogError(f"unknown technology {tech_id!r}") from None
-
-    def techs_by_output(self, vector: str) -> list[TechnologySpec]:
-        return [t for t in self.techs.values() if t.output == vector]
 
     def validate(self) -> None:
         for t in self.techs.values():
@@ -432,159 +430,10 @@ def apply_variant(state: RefurbState, variant_index: int) -> RefurbState:
 # ---------------------------------------------------------------------------
 # Default catalog
 
-_SYNTHETIC_NOTE = "synthetic reference data, calibrated for plausible relative economics"
-
-
 def default_catalog() -> Catalog:
     """Built-in synthetic catalog used by fixtures, demos, and tests."""
-    techs = [
-        TechnologySpec(
-            id="gas_boiler", name="Condensing gas boiler", kind=KIND_CONVERTER,
-            carrier="gas", output="heat", efficiency=0.93,
-            capex_fix=2500.0, capex_var=300.0, opex_fixed=6.0, opex_var=0.004,
-            lifetime=25, deconstruction=30.0, embodied=60.0,
-            min_size=4.0, max_size=500.0,
-        ),
-        TechnologySpec(
-            id="oil_heating", name="Oil heating", kind=KIND_CONVERTER,
-            carrier="oil", output="heat", efficiency=0.90,
-            capex_fix=3000.0, capex_var=350.0, opex_fixed=7.0, opex_var=0.004,
-            lifetime=25, deconstruction=35.0, embodied=70.0,
-            min_size=4.0, max_size=500.0,
-        ),
-        TechnologySpec(
-            id="pellet_heating", name="Wood pellet heating", kind=KIND_CONVERTER,
-            carrier="pellets", output="heat", efficiency=0.88,
-            capex_fix=9000.0, capex_var=450.0, opex_fixed=12.0, opex_var=0.006,
-            lifetime=20, deconstruction=40.0, embodied=90.0, subsidy_rate=0.10,
-            min_size=4.0, max_size=300.0,
-        ),
-        TechnologySpec(
-            id="woodchip_heating", name="Wood chip heating", kind=KIND_CONVERTER,
-            carrier="woodchips", output="heat", efficiency=0.85,
-            capex_fix=16000.0, capex_var=400.0, opex_fixed=14.0, opex_var=0.006,
-            lifetime=20, deconstruction=45.0, embodied=100.0, subsidy_rate=0.10,
-            min_size=30.0, max_size=1000.0,
-        ),
-        TechnologySpec(
-            id="direct_electric", name="Direct electric heating", kind=KIND_CONVERTER,
-            carrier="electricity", output="heat", efficiency=1.0,
-            capex_fix=500.0, capex_var=120.0, opex_fixed=1.0, opex_var=0.0,
-            lifetime=30, deconstruction=10.0, embodied=15.0,
-            min_size=1.0, max_size=300.0,
-        ),
-        TechnologySpec(
-            id="air_source_heat_pump", name="Air source heat pump", kind=KIND_CONVERTER,
-            carrier="electricity", output="heat",
-            efficiency={"winter": 2.6, "transition": 3.2, "summer": 3.7},
-            capex_fix=4000.0, capex_var=900.0, opex_fixed=12.0, opex_var=0.002,
-            lifetime=25, deconstruction=40.0, embodied=120.0, subsidy_rate=0.25,
-            min_size=3.0, max_size=200.0,
-        ),
-        TechnologySpec(
-            id="ground_source_heat_pump", name="Ground source heat pump",
-            kind=KIND_CONVERTER, carrier="electricity", output="heat",
-            efficiency={"winter": 3.8, "transition": 4.0, "summer": 4.2},
-            capex_fix=9000.0, capex_var=1400.0, opex_fixed=14.0, opex_var=0.002,
-            lifetime=25, deconstruction=60.0, embodied=180.0, subsidy_rate=0.25,
-            open_area_per_kw=8.0, min_size=5.0, max_size=150.0,
-        ),
-        TechnologySpec(
-            id="solar_thermal", name="Solar thermal collectors", kind=KIND_CONVERTER,
-            carrier="solar", output="heat", efficiency=1.0,
-            capex_fix=2000.0, capex_var=600.0, opex_fixed=5.0, opex_var=0.0,
-            lifetime=25, deconstruction=20.0, embodied=80.0, subsidy_rate=0.25,
-            roof_area_per_kw=1.5, min_size=1.0, max_size=50.0,
-        ),
-        TechnologySpec(
-            id="buffer_tank", name="Hot water buffer tank", kind=KIND_STORAGE,
-            carrier=None, output="heat",
-            capex_fix=800.0, capex_var=60.0, opex_fixed=0.5, opex_var=0.0,
-            lifetime=25, deconstruction=5.0, embodied=10.0,
-            min_size=2.0, max_size=2000.0,
-            charge_efficiency=0.98, discharge_efficiency=0.98,
-            loss_per_hour=0.004, power_per_capacity=0.5,
-        ),
-        TechnologySpec(
-            id="fuel_cell", name="Fuel cell", kind=KIND_CONVERTER,
-            carrier="gas", output="electricity", efficiency=0.38,
-            byproduct=("heat", 0.9),
-            capex_fix=15000.0, capex_var=3500.0, opex_fixed=40.0, opex_var=0.01,
-            lifetime=15, deconstruction=80.0, embodied=250.0,
-            min_size=1.0, max_size=20.0,
-        ),
-        TechnologySpec(
-            id="micro_chp", name="Micro combined heat and power", kind=KIND_CONVERTER,
-            carrier="gas", output="heat", efficiency=0.62,
-            byproduct=("electricity", 0.45),
-            capex_fix=12000.0, capex_var=1200.0, opex_fixed=25.0, opex_var=0.008,
-            lifetime=18, deconstruction=60.0, embodied=200.0,
-            min_size=5.0, max_size=100.0,
-        ),
-        TechnologySpec(
-            id="heat_exchanger", name="Heat network transfer station",
-            kind=KIND_CONVERTER, carrier="heat_network", output="heat", efficiency=0.98,
-            capex_fix=3000.0, capex_var=120.0, opex_fixed=3.0, opex_var=0.0,
-            lifetime=30, deconstruction=20.0, embodied=40.0,
-            min_size=5.0, max_size=500.0, requires_heat_network=True,
-        ),
-        TechnologySpec(
-            id="air_conditioner", name="Compression air conditioner",
-            kind=KIND_CONVERTER, carrier="electricity", output="cooling", efficiency=3.0,
-            capex_fix=1200.0, capex_var=350.0, opex_fixed=6.0, opex_var=0.002,
-            lifetime=15, deconstruction=15.0, embodied=80.0,
-            min_size=1.0, max_size=100.0,
-        ),
-        TechnologySpec(
-            id="pv", name="Rooftop photovoltaics", kind=KIND_CONVERTER,
-            carrier="solar", output="electricity", efficiency=1.0,
-            capex_fix=1500.0, capex_var=1050.0, opex_fixed=12.0, opex_var=0.0,
-            lifetime=25, deconstruction=25.0, embodied=500.0,
-            roof_area_per_kw=5.0, min_size=1.0, max_size=100.0,
-        ),
-        TechnologySpec(
-            id="battery", name="Home battery storage", kind=KIND_STORAGE,
-            carrier=None, output="electricity",
-            capex_fix=1000.0, capex_var=800.0, opex_fixed=2.0, opex_var=0.0,
-            lifetime=15, deconstruction=10.0, embodied=100.0,
-            min_size=2.0, max_size=100.0,
-            charge_efficiency=0.95, discharge_efficiency=0.95,
-            loss_per_hour=0.0002, power_per_capacity=1.0,
-        ),
-        TechnologySpec(
-            id="grid_connection", name="Grid connection point", kind=KIND_CONNECTION,
-            carrier=None, output="electricity",
-            capex_fix=2000.0, capex_var=80.0, opex_fixed=1.0, opex_var=0.0,
-            lifetime=40, deconstruction=20.0, embodied=30.0,
-            min_size=4.0, max_size=1000.0,
-        ),
-    ]
-    refurb = [
-        RefurbComponentSpec(
-            name="roof", cost_per_m2=100.0, area_factor=1.0,
-            demand_factor={"space_heat": 0.85}, lifetime=40, embodied_per_m2=18.0,
-        ),
-        RefurbComponentSpec(
-            name="wall", cost_per_m2=70.0, area_factor=2.5,
-            demand_factor={"space_heat": 0.80}, lifetime=40, embodied_per_m2=12.0,
-        ),
-        RefurbComponentSpec(
-            name="window", cost_per_m2=220.0, area_factor=0.4,
-            demand_factor={"space_heat": 0.93}, lifetime=40, embodied_per_m2=25.0,
-        ),
-        RefurbComponentSpec(
-            name="cellar", cost_per_m2=45.0, area_factor=1.0,
-            demand_factor={"space_heat": 0.96}, lifetime=40, embodied_per_m2=8.0,
-        ),
-    ]
-    cat = Catalog(
-        techs={t.id: t for t in techs},
-        refurb={r.name: r for r in refurb},
-        discount_rate=0.03,
-        meta={"id": "default", "synthetic": True, "note": _SYNTHETIC_NOTE},
-    )
-    cat.validate()
-    return cat
+    data = resources.files(__package__) / "data" / "catalog.json"
+    return load_catalog(data.read_text(encoding="utf-8"))
 
 
 def restrict_catalog(cat: Catalog, tech_ids: list[str]) -> Catalog:

@@ -54,12 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("cost", "emission", "weighted"))
     p.add_argument("--backend", default=None, type=_backend_arg,
                    help="solver backend (highs, reference, external:<cmd>); "
-                        "MUNIPATH_SOLVER overrides")
+                        "MUNIPATH_SOLVER applies only when this is not given")
     p.add_argument("--mip-gap", type=float, default=1e-4,
                    help="relative MIP gap (default 1e-4)")
     p.add_argument("--time-limit", type=_positive_seconds, default=None,
                    help="per-solve time limit in seconds; MUNIPATH_TIME_LIMIT overrides")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_positive_int, default=None,
                    help="parallel building solves (default: CPU count)")
     p.set_defaults(func=cmd_pathway)
 
@@ -103,6 +103,15 @@ def _positive_seconds(value: str) -> float:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected a positive number of seconds, got {value!r}")
+
+
+def _positive_int(value: str) -> int:
+    try:
+        if int(value) >= 1:
+            return int(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {value!r}")
 
 
 def _require_file(path: str) -> None:

@@ -139,12 +139,6 @@ class BuildingSolution:
     model_options: dict
     x: np.ndarray = field(repr=False, default=None)
 
-    @property
-    def heating_tech_ids(self) -> tuple[str, ...]:
-        """Heat-producing techs present after the plan (kept plus new)."""
-        ids = [i.tech_id for i in self.kept] + [t for t, _ in self.installed]
-        return tuple(sorted(set(ids)))
-
 
 # ---------------------------------------------------------------------------
 # Construction

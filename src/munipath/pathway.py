@@ -7,6 +7,10 @@ Voluntary measures are ranked by how much they improve on doing nothing,
 capped by rate budgets, denied ones are re-optimized away, and the
 survivors get implementation years spread so no interim year exceeds its
 cumulative quota.  Committed decisions mutate the twin the next stage sees.
+
+Every building problem (status-quo dispatch, frozen plan, free plan and
+restricted re-solve) is one task for ``_solve_one``; each batch of tasks
+runs in a process pool when more than one worker is allowed.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .twin import (
     EnergyTwin,
     RefurbState,
     TechnologyInstance,
+    TimeGrid,
     remaining_lifetime,
 )
 
@@ -241,48 +246,50 @@ def save_pathway(path_obj: TransformationPath, sink) -> None:
 # Stage engine
 
 
+@dataclass(frozen=True)
+class _Task:
+    """One optimize_building call: a building and the keyword options of its
+    role (status quo, frozen, free or restricted re-solve)."""
+
+    building: Building
+    cat: Catalog
+    scenario: ScenarioFrame
+    grid: TimeGrid
+    options: dict
+
+
 @dataclass
 class _BuildingOutcome:
     building_id: str
-    baseline_objective: float | None  # None: frozen plan infeasible
     solution: BuildingSolution | None
-    error: str | None
-
-    @property
-    def score(self) -> float:
-        if self.solution is None:
-            return -math.inf
-        if self.baseline_objective is None:
-            return math.inf
-        return self.baseline_objective - self.solution.objective
+    error: str | None = None
+    infeasible: bool = False  # the error proves that no plan exists
 
 
-def _solve_one(args) -> _BuildingOutcome:
-    (building, cat, scenario, grid, y1, period, mode, backend, params) = args
-    baseline_obj: float | None
+def _solve_one(task: _Task) -> _BuildingOutcome:
+    bid = task.building.id
     try:
-        _, out_b, _ = optimize_building(
-            building, cat, scenario, grid,
-            target_year=y1, period_years=period, objective_mode=mode,
-            allow_refurb=False, allow_plant_change=False,
-            backend=backend, params=params,
-        )
-        baseline_obj = float(out_b.objective)
-    except InfeasibleBuildingError:
-        baseline_obj = None
+        _, _, sol = optimize_building(task.building, task.cat, task.scenario, task.grid,
+                                      **task.options)
+    except InfeasibleBuildingError as exc:
+        return _BuildingOutcome(bid, None, str(exc), infeasible=True)
     except ModelError as exc:
-        # a failed or time-limited baseline says nothing about feasibility,
-        # so it must not make the conversion mandatory
-        return _BuildingOutcome(building.id, None, None, f"baseline solve failed: {exc}")
-    try:
-        _, _, sol = optimize_building(
-            building, cat, scenario, grid,
-            target_year=y1, period_years=period, objective_mode=mode,
-            backend=backend, params=params,
-        )
-        return _BuildingOutcome(building.id, baseline_obj, sol, None)
-    except (InfeasibleBuildingError, ModelError) as exc:
-        return _BuildingOutcome(building.id, baseline_obj, None, str(exc))
+        return _BuildingOutcome(bid, None, str(exc))
+    return _BuildingOutcome(bid, sol)
+
+
+def _solve_all(tasks: list[_Task], workers: int) -> list[_BuildingOutcome]:
+    """Outcomes in task order, from a process pool when more than one worker
+    and more than one task are given."""
+    n = min(workers, len(tasks))
+    if n <= 1:
+        return [_solve_one(t) for t in tasks]
+    # Forked workers inherit the parent's modules: importing the HiGHS
+    # backend's scipy modules (about 0.5 s) here spares every worker of
+    # every pool from importing them again.
+    import scipy.optimize  # noqa: F401
+    with ProcessPoolExecutor(max_workers=n) as pool:
+        return list(pool.map(_solve_one, tasks))
 
 
 def _heat_conversion_tech(cat: Catalog, tech_id: str) -> bool:
@@ -458,28 +465,32 @@ def plan_stage(
     buildings = sorted(twin.buildings, key=lambda b: b.id)
     grid = twin.grid
 
-    tasks = [(b, cat, scenario, grid, target_year, period, objective_mode,
-              backend, params)
-             for b in buildings]
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_solve_one, tasks))
-    else:
-        results = [_solve_one(t) for t in tasks]
-    results.sort(key=lambda r: r.building_id)
+    common = dict(target_year=target_year, period_years=period,
+                  objective_mode=objective_mode, backend=backend, params=params)
+    frozen = dict(common, allow_refurb=False, allow_plant_change=False)
+    outcomes = _solve_all([_Task(b, cat, scenario, grid, options)
+                           for b in buildings for options in (frozen, common)], workers)
     by_id = {b.id: b for b in buildings}
 
     infeasible: dict[str, str] = {}
     solutions: dict[str, BuildingSolution] = {}
-    proposals: list[tuple[float, str]] = []  # (-score, building_id) orderable
-    outcome_of: dict[str, _BuildingOutcome] = {}
-    for r in results:
-        outcome_of[r.building_id] = r
-        if r.solution is None:
-            infeasible[r.building_id] = r.error or "infeasible"
-            continue
-        solutions[r.building_id] = r.solution
-        proposals.append((-r.score, r.building_id))
+    score: dict[str, float] = {}  # improvement of the free plan on the frozen one
+    mandatory: set[str] = set()  # frozen plan infeasible: the conversion is forced
+    for base, free in zip(outcomes[::2], outcomes[1::2]):
+        bid = free.building_id
+        if base.solution is None and not base.infeasible:
+            # a failed or time-limited baseline says nothing about feasibility,
+            # so it must not make the conversion mandatory
+            infeasible[bid] = f"baseline solve failed: {base.error}"
+        elif free.solution is None:
+            infeasible[bid] = free.error
+        elif base.infeasible:
+            solutions[bid] = free.solution
+            score[bid] = math.inf
+            mandatory.add(bid)
+        else:
+            solutions[bid] = free.solution
+            score[bid] = base.solution.objective - free.solution.objective
     if n_b and len(infeasible) == n_b:
         raise PathwayError(
             f"stage {target_year}: no building could be solved "
@@ -489,17 +500,13 @@ def plan_stage(
     remaining = dict(budgets)
     denied: list[tuple[str, str]] = []
     granted: dict[str, set[str]] = {}
-    proposals.sort()
-    for _, bid in proposals:
-        r = outcome_of[bid]
-        sol = r.solution
-        mandatory_conv = r.baseline_objective is None
-        kinds = _budgeted_kinds(cat, sol)
+    for bid in sorted(score, key=lambda b: (-score[b], b)):
+        kinds = _budgeted_kinds(cat, solutions[bid])
         take: set[str] = set()
         for kind in ("conversion", "renovation"):
             if kind not in kinds:
                 continue
-            if kind == "conversion" and mandatory_conv:
+            if kind == "conversion" and bid in mandatory:
                 take.add(kind)
                 continue
             if remaining[kind] > 0:
@@ -510,42 +517,32 @@ def plan_stage(
         granted[bid] = take
 
     # re-optimize buildings that lost a slot; only granted classes stay open
-    denied_by_building: dict[str, set[str]] = {}
-    for bid, kind in denied:
-        denied_by_building.setdefault(bid, set()).add(kind)
-    for bid in sorted(denied_by_building):
-        b = by_id[bid]
-        allow_refurb = "renovation" in granted[bid]
-        allow_plant = True if "conversion" in granted[bid] else "additions_only"
-        try:
-            _, _, sol2 = optimize_building(
-                b, cat, scenario, grid,
-                target_year=target_year, period_years=period,
-                objective_mode=objective_mode,
-                allow_refurb=allow_refurb, allow_plant_change=allow_plant,
-                backend=backend, params=params,
-            )
-            solutions[bid] = sol2
-        except (InfeasibleBuildingError, ModelError) as exc:
-            infeasible[bid] = f"re-optimization failed: {exc}"
-            solutions.pop(bid, None)
-            granted.pop(bid, None)
+    resolves = [
+        _Task(by_id[bid], cat, scenario, grid, dict(
+            common, allow_refurb="renovation" in granted[bid],
+            allow_plant_change=True if "conversion" in granted[bid] else "additions_only"))
+        for bid in sorted({bid for bid, _ in denied})]
+    for r in _solve_all(resolves, workers):
+        if r.solution is None:
+            infeasible[r.building_id] = f"re-optimization failed: {r.error}"
+            solutions.pop(r.building_id)
+            granted.pop(r.building_id)
+        else:
+            solutions[r.building_id] = r.solution
 
     # final measures from the surviving solutions
     measures: list[Measure] = []
     building_expiry: dict[str, int] = {}
     for bid in sorted(solutions):
         b = by_id[bid]
-        r = outcome_of[bid]
         sol = solutions[bid]
-        mandatory_conv = r.baseline_objective is None
         expired = _expired_instances(b, cat, target_year)
         heat_expired = [i for i in expired if _heat_conversion_tech(cat, i.tech_id)]
         if heat_expired:
             building_expiry[bid] = min(
                 i.install_year + cat.tech(i.tech_id).lifetime for i in heat_expired)
-        for mm in _split_measures(b, cat, sol, mandatory_conversion=mandatory_conv,
-                                  decision_year=target_year, score=r.score):
+        for mm in _split_measures(b, cat, sol, mandatory_conversion=bid in mandatory,
+                                  decision_year=target_year, score=score[bid]):
             if mm.kind in BUDGETED_KINDS and not mm.mandatory \
                     and mm.kind not in granted.get(bid, set()):
                 # the re-optimized plan may not reintroduce a denied class
@@ -579,23 +576,16 @@ def plan_stage(
 
 
 def _status_quo_stage(twin: EnergyTwin, cat: Catalog, scenario: ScenarioFrame,
-                      year: int, objective_mode: str,
-                      backend: str | None, params: dict | None) -> StageResult:
+                      year: int, objective_mode: str, backend: str | None,
+                      params: dict | None, workers: int) -> StageResult:
     """Valuation of the untouched stock: dispatch only, no decisions."""
-    solutions: dict[str, BuildingSolution] = {}
-    infeasible: dict[str, str] = {}
-    for b in sorted(twin.buildings, key=lambda b: b.id):
-        try:
-            _, _, sol = optimize_building(
-                b, cat, scenario, twin.grid,
-                target_year=year, period_years=1, objective_mode=objective_mode,
-                allow_refurb=False, allow_plant_change=False,
-                include_transition_costs=False,
-                backend=backend, params=params,
-            )
-            solutions[b.id] = sol
-        except (InfeasibleBuildingError, ModelError) as exc:
-            infeasible[b.id] = str(exc)
+    options = dict(target_year=year, period_years=1, objective_mode=objective_mode,
+                   allow_refurb=False, allow_plant_change=False,
+                   include_transition_costs=False, backend=backend, params=params)
+    outcomes = _solve_all([_Task(b, cat, scenario, twin.grid, options)
+                           for b in sorted(twin.buildings, key=lambda b: b.id)], workers)
+    solutions = {r.building_id: r.solution for r in outcomes if r.solution is not None}
+    infeasible = {r.building_id: r.error for r in outcomes if r.solution is None}
     if twin.buildings and len(infeasible) == len(twin.buildings):
         raise PathwayError(f"status quo {year}: no building could be dispatched")
     return StageResult(
@@ -632,7 +622,7 @@ def plan_pathway(
     stages: list[StageResult] = []
     current = twin
     first = _status_quo_stage(current, cat, scenario, years[0], objective_mode,
-                              backend, params)
+                              backend, params, workers)
     stages.append(first)
     for k in range(1, len(years)):
         st = plan_stage(

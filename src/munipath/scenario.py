@@ -12,6 +12,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from importlib import resources
 
 import numpy as np
 
@@ -95,6 +96,10 @@ class ScenarioFrame:
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioFrame":
         try:
+            # absent limits keep the field defaults
+            limits = {key: conv(d[key]) for key, conv in (
+                ("renovation_rate_cap", float), ("conversion_rate_cap", float),
+                ("max_parallel_retrofits", int)) if key in d}
             return cls(
                 years=tuple(int(y) for y in d["years"]),
                 prices={str(k): tuple(float(x) for x in v) for k, v in d["prices"].items()},
@@ -102,10 +107,8 @@ class ScenarioFrame:
                 emission_factors={str(k): tuple(float(x) for x in v)
                                   for k, v in d["emission_factors"].items()},
                 co2_price=tuple(float(x) for x in d["co2_price"]),
-                renovation_rate_cap=float(d.get("renovation_rate_cap", 0.02)),
-                conversion_rate_cap=float(d.get("conversion_rate_cap", 0.045)),
-                max_parallel_retrofits=int(d.get("max_parallel_retrofits", 6)),
                 meta=dict(d.get("meta", {})),
+                **limits,
             )
         except ScenarioError:
             raise
@@ -156,33 +159,8 @@ def cumulative_quota(rate_cap: float, n_buildings: int, years_elapsed: int) -> i
 # ---------------------------------------------------------------------------
 # Default scenario
 
-_ANCHORS = (2023, 2025, 2030, 2035, 2040, 2045)
-
 
 def default_scenario() -> ScenarioFrame:
     """Built-in price and emission outlook for 2023 through 2045."""
-    return ScenarioFrame(
-        years=_ANCHORS,
-        prices={
-            "electricity": (49.39, 40.66, 31.62, 25.40, 22.72, 23.59),
-            "gas": (18.64, 13.94, 14.63, 15.41, 20.20, 27.68),
-            "oil": (6.81, 9.35, 12.61, 15.42, 20.54, 24.44),
-            "pellets": (5.51, 7.70, 10.97, 14.22, 16.44, 19.67),
-            "woodchips": (4.20, 5.60, 8.10, 10.60, 12.40, 14.90),
-            "heat_network": (13.50, 13.00, 14.20, 15.40, 16.70, 18.00),
-        },
-        feed_in_tariff=(8.0, 7.4, 6.6, 6.0, 5.4, 5.0),
-        emission_factors={
-            "electricity": (420.0, 368.0, 250.0, 160.0, 90.0, 37.5),
-            "gas": (201.0, 201.0, 190.0, 140.0, 70.0, 10.0),
-            "oil": (266.0, 266.0, 266.0, 266.0, 266.0, 266.0),
-            "pellets": (25.0, 25.0, 25.0, 25.0, 25.0, 25.0),
-            "woodchips": (20.0, 20.0, 20.0, 20.0, 20.0, 20.0),
-            "heat_network": (180.0, 165.0, 130.0, 95.0, 60.0, 40.0),
-        },
-        co2_price=(80.0, 90.0, 130.0, 150.0, 190.0, 200.0),
-        renovation_rate_cap=0.02,
-        conversion_rate_cap=0.045,
-        max_parallel_retrofits=6,
-        meta={"id": "prices-2023-2045", "synthetic": True},
-    )
+    data = resources.files(__package__) / "data" / "scenario.json"
+    return load_scenario(data.read_text(encoding="utf-8"))

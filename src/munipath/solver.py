@@ -42,6 +42,9 @@ MAX_REFERENCE_INTEGERS = 60
 
 DUALITY_TOL = 1e-7
 
+# Relative MIP gap when the request's params give none.
+DEFAULT_MIP_GAP = 1e-6
+
 
 class SolverError(Exception):
     """Base class for solver failures."""
@@ -122,8 +125,6 @@ class SolveOutcome:
     wall_time_s: float = 0.0
     backend: str = ""
     message: str = ""
-    dual: np.ndarray | None = None
-    extra: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -177,21 +178,12 @@ class LinearModel:
     def var(self, name: str) -> int:
         return self._var_index[name]
 
-    def has_var(self, name: str) -> bool:
-        return name in self._var_index
-
     def add_obj(self, var: int, delta: float) -> None:
         self._obj[var] += float(delta)
 
     def fix_var(self, var: int, value: float) -> None:
         self._lb[var] = float(value)
         self._ub[var] = float(value)
-
-    def set_bounds(self, var: int, lb: float, ub: float) -> None:
-        if lb > ub:
-            raise ValueError(f"variable {self._var_names[var]!r}: lb {lb} > ub {ub}")
-        self._lb[var] = float(lb)
-        self._ub[var] = float(ub)
 
     @property
     def n_vars(self) -> int:
@@ -288,7 +280,7 @@ def _solve_highs(request: SolveRequest) -> SolveOutcome:
     t0 = time.monotonic()
     p = request.params
     options = {
-        "mip_rel_gap": float(p.get("mip_gap", 1e-6)),
+        "mip_rel_gap": float(p.get("mip_gap", DEFAULT_MIP_GAP)),
         "presolve": True,
         # HiGHS names outside milp's documented set: the sub-MIP neighbourhood
         # searches pay off on hard MILPs, not on the small per-building models
@@ -341,7 +333,7 @@ def _solve_highs(request: SolveRequest) -> SolveOutcome:
 @dataclass
 class _StandardForm:
     """Equality-form problem min c.z, M z = b, z >= 0 plus the affine map
-    back to the original variables and row bookkeeping for dual recovery."""
+    back to the original variables."""
 
     m_eq: np.ndarray
     b: np.ndarray
@@ -349,8 +341,6 @@ class _StandardForm:
     const: float  # objective constant picked up by variable shifts
     # per original var: ("shift", col, lb) | ("flip", col, ub) | ("split", col_pos, col_neg)
     var_map: list[tuple]
-    # per equality row: (original_row_index | None, sign)
-    row_origin: list[tuple[int | None, float]]
 
 
 def _standardize(obj, dense_a, row_lb, row_ub, var_lb, var_ub) -> _StandardForm:
@@ -390,17 +380,17 @@ def _standardize(obj, dense_a, row_lb, row_ub, var_lb, var_ub) -> _StandardForm:
     rhs_shift = dense_a @ shift
 
     # Collect one-sided inequalities and equalities over transformed vars.
-    ineqs: list[tuple[np.ndarray, str, float, int | None]] = []  # (coefs, sense, rhs, origin)
+    ineqs: list[tuple[np.ndarray, str, float]] = []  # (coefs, sense, rhs)
     for i in range(dense_a.shape[0]):
         lo = row_lb[i] - rhs_shift[i]
         hi = row_ub[i] - rhs_shift[i]
         if math.isfinite(row_lb[i]) and row_lb[i] == row_ub[i]:
-            ineqs.append((a_t[i], "=", lo, i))
+            ineqs.append((a_t[i], "=", lo))
             continue
         if math.isfinite(row_lb[i]):
-            ineqs.append((a_t[i], ">", lo, i))
+            ineqs.append((a_t[i], ">", lo))
         if math.isfinite(row_ub[i]):
-            ineqs.append((a_t[i], "<", hi, i))
+            ineqs.append((a_t[i], "<", hi))
 
     # Upper bounds of shifted variables become explicit rows.
     for j in range(n):
@@ -408,16 +398,15 @@ def _standardize(obj, dense_a, row_lb, row_ub, var_lb, var_ub) -> _StandardForm:
         if kind[0] == "shift" and math.isfinite(var_ub[j]):
             row = np.zeros(n_t)
             row[kind[1]] = 1.0
-            ineqs.append((row, "<", var_ub[j] - var_lb[j], None))
+            ineqs.append((row, "<", var_ub[j] - var_lb[j]))
 
     m = len(ineqs)
-    n_slack = sum(1 for _, sense, _, _ in ineqs if sense != "=")
+    n_slack = sum(1 for _, sense, _ in ineqs if sense != "=")
     m_eq = np.zeros((m, n_t + n_slack))
     b = np.zeros(m)
     c_full = np.concatenate([np.array(c_t), np.zeros(n_slack)])
-    row_origin: list[tuple[int | None, float]] = []
     slack_at = n_t
-    for i, (coefs, sense, rhs, origin) in enumerate(ineqs):
+    for i, (coefs, sense, rhs) in enumerate(ineqs):
         m_eq[i, :n_t] = coefs
         b[i] = rhs
         if sense == "<":
@@ -426,34 +415,29 @@ def _standardize(obj, dense_a, row_lb, row_ub, var_lb, var_ub) -> _StandardForm:
         elif sense == ">":
             m_eq[i, slack_at] = -1.0
             slack_at += 1
-        sign = 1.0
         if b[i] < 0:
             m_eq[i] = -m_eq[i]
             b[i] = -b[i]
-            sign = -1.0
-        row_origin.append((origin, sign))
 
-    return _StandardForm(m_eq=m_eq, b=b, c=c_full, const=const,
-                         var_map=var_map, row_origin=row_origin)
+    return _StandardForm(m_eq=m_eq, b=b, c=c_full, const=const, var_map=var_map)
 
 
 def _simplex_phase(m_eq, b, c, basis, *, allowed, tol, max_iter):
     """Run primal simplex iterations on an equality-form problem.
 
     ``basis`` is modified in place.  ``allowed`` masks columns that may
-    enter.  Returns (status, z, iterations) where status is "optimal" or
-    "unbounded".
+    enter.  Returns (status, z) where status is "optimal" or "unbounded".
     """
     m, n_all = m_eq.shape
     if m == 0:
         z = np.zeros(n_all)
         neg = np.flatnonzero((c < -tol) & allowed)
-        return ("unbounded" if neg.size else "optimal"), z, 0
+        return ("unbounded" if neg.size else "optimal"), z
 
     stall = 0
     last_obj = INF
     bland = False
-    for it in range(max_iter):
+    for _ in range(max_iter):
         basis_arr = np.asarray(basis, dtype=np.int64)
         b_mat = m_eq[:, basis_arr]
         try:
@@ -467,7 +451,7 @@ def _simplex_phase(m_eq, b, c, basis, *, allowed, tol, max_iter):
         if candidates.size == 0:
             z = np.zeros(n_all)
             z[basis_arr] = x_b
-            return "optimal", z, it
+            return "optimal", z
         if bland:
             enter = int(candidates[0])
         else:
@@ -475,7 +459,7 @@ def _simplex_phase(m_eq, b, c, basis, *, allowed, tol, max_iter):
         d = np.linalg.solve(b_mat, m_eq[:, enter])
         pos = np.flatnonzero(d > tol)
         if pos.size == 0:
-            return "unbounded", np.zeros(n_all), it
+            return "unbounded", np.zeros(n_all)
         ratios = x_b[pos] / d[pos]
         best = ratios.min()
         ties = pos[np.flatnonzero(ratios <= best + tol * (1.0 + abs(best)))]
@@ -532,15 +516,14 @@ def _verify_certificate(sf: _StandardForm, z, basis, tol=DUALITY_TOL):
         raise SolverNumericsError(
             f"strong duality gap {dual_obj - primal_obj:g} at optimum")
     _DUALITY_CHECKS["count"] += 1
-    return y
 
 
 def _reference_lp(request: SolveRequest, var_lb=None, var_ub=None):
-    """Certified LP solve.  Returns (status, x, objective, dual, iterations)."""
+    """Certified LP solve.  Returns (status, x, objective)."""
     lb = request.var_lb if var_lb is None else var_lb
     ub = request.var_ub if var_ub is None else var_ub
     if np.any(lb > ub):
-        return SolveStatus.INFEASIBLE, None, None, None, 0
+        return SolveStatus.INFEASIBLE, None, None
     sf = _standardize(request.obj, request.dense_matrix(),
                       request.row_lb, request.row_ub, lb, ub)
     m, n_all = sf.m_eq.shape
@@ -554,28 +537,26 @@ def _reference_lp(request: SolveRequest, var_lb=None, var_ub=None):
     if m == 0:
         z = np.zeros(n_all)
         if np.any(sf.c < -tol):
-            return SolveStatus.UNBOUNDED, None, None, None, 0
-        y = _verify_certificate(sf, z, [])
+            return SolveStatus.UNBOUNDED, None, None
+        _verify_certificate(sf, z, [])
         x = _recover_x(sf, z, request.n_vars)
-        return SolveStatus.OPTIMAL, x, float(sf.c @ z) + sf.const + request.obj_offset, \
-            _recover_dual(sf, y, request.n_rows), 0
+        return SolveStatus.OPTIMAL, x, float(sf.c @ z) + sf.const + request.obj_offset
 
     # Phase 1: artificial start
     m1 = np.hstack([sf.m_eq, np.eye(m)])
     c1 = np.concatenate([np.zeros(n_all), np.ones(m)])
     basis = list(range(n_all, n_all + m))
     allowed = np.ones(n_all + m, dtype=bool)
-    status, z1, it1 = _simplex_phase(m1, sf.b, c1, basis, allowed=allowed,
-                                     tol=tol, max_iter=max_iter)
+    status, z1 = _simplex_phase(m1, sf.b, c1, basis, allowed=allowed,
+                                tol=tol, max_iter=max_iter)
     if status != "optimal":
         raise SolverNumericsError("phase 1 cannot be unbounded")
     if float(c1 @ z1) > tol * 1e3:
         # certify: the phase-1 dual bounds the artificial sum away from zero,
         # proving no feasible point exists
-        sf1 = _StandardForm(m_eq=m1, b=sf.b, c=c1, const=0.0,
-                            var_map=sf.var_map, row_origin=sf.row_origin)
+        sf1 = _StandardForm(m_eq=m1, b=sf.b, c=c1, const=0.0, var_map=sf.var_map)
         _verify_certificate(sf1, z1, basis)
-        return SolveStatus.INFEASIBLE, None, None, None, it1
+        return SolveStatus.INFEASIBLE, None, None
 
     # Pivot artificials out of the basis; drop dependent rows.
     keep_rows = list(range(m))
@@ -598,9 +579,7 @@ def _reference_lp(request: SolveRequest, var_lb=None, var_ub=None):
     if any(r == -1 for r in keep_rows):
         rows = [r for r in keep_rows if r != -1]
         sf = _StandardForm(
-            m_eq=sf.m_eq[rows], b=sf.b[rows], c=sf.c, const=sf.const,
-            var_map=sf.var_map, row_origin=[sf.row_origin[r] for r in rows],
-        )
+            m_eq=sf.m_eq[rows], b=sf.b[rows], c=sf.c, const=sf.const, var_map=sf.var_map)
         basis = [basis[r] for r in rows]
         m = len(rows)
         m1 = np.hstack([sf.m_eq, np.eye(m)])
@@ -609,10 +588,10 @@ def _reference_lp(request: SolveRequest, var_lb=None, var_ub=None):
     allowed2 = np.zeros(n_all + m, dtype=bool)
     allowed2[:n_all] = True
     c2 = np.concatenate([sf.c, np.zeros(m)])
-    status, z2, it2 = _simplex_phase(m1, sf.b, c2, basis, allowed=allowed2,
-                                     tol=tol, max_iter=max_iter)
+    status, z2 = _simplex_phase(m1, sf.b, c2, basis, allowed=allowed2,
+                                tol=tol, max_iter=max_iter)
     if status == "unbounded":
-        return SolveStatus.UNBOUNDED, None, None, None, it1 + it2
+        return SolveStatus.UNBOUNDED, None, None
     z = z2[:n_all]
     basis_struct = [bi for bi in basis]
     # the pivot-out step leaves only structural columns basic, so the
@@ -620,10 +599,10 @@ def _reference_lp(request: SolveRequest, var_lb=None, var_ub=None):
     # would flag any y_i > 0 as a spurious dual infeasibility
     if any(bi >= n_all for bi in basis_struct):
         raise SolverNumericsError("artificial column left in final basis")
-    y = _verify_certificate(sf, z, basis_struct)
+    _verify_certificate(sf, z, basis_struct)
     x = _recover_x(sf, z, request.n_vars)
     obj = float(sf.c @ z) + sf.const + request.obj_offset
-    return SolveStatus.OPTIMAL, x, obj, _recover_dual(sf, y, request.n_rows), it1 + it2
+    return SolveStatus.OPTIMAL, x, obj
 
 
 def _recover_x(sf: _StandardForm, z, n_vars) -> np.ndarray:
@@ -638,23 +617,14 @@ def _recover_x(sf: _StandardForm, z, n_vars) -> np.ndarray:
     return x
 
 
-def _recover_dual(sf: _StandardForm, y, n_rows) -> np.ndarray:
-    dual = np.zeros(n_rows)
-    for k, (origin, sign) in enumerate(sf.row_origin):
-        if origin is not None and k < y.shape[0]:
-            dual[origin] += sign * y[k]
-    return dual
-
-
 def _solve_reference(request: SolveRequest) -> SolveOutcome:
     t0 = time.monotonic()
     ints = np.flatnonzero(request.integrality)
     if ints.size == 0:
-        status, x, obj, dual, iters = _reference_lp(request)
+        status, x, obj = _reference_lp(request)
         return SolveOutcome(
             status=status, x=x, objective=obj, bound=obj, gap=0.0 if obj is not None else None,
-            wall_time_s=time.monotonic() - t0, backend="reference", dual=dual,
-            extra={"lp_iterations": iters, "nodes": 0},
+            wall_time_s=time.monotonic() - t0, backend="reference",
         )
     if ints.size > MAX_REFERENCE_INTEGERS:
         raise SolverCapacityError(
@@ -671,24 +641,20 @@ def _branch_and_bound(request: SolveRequest, int_idx: np.ndarray, t0: float) -> 
     import heapq
 
     p = request.params
-    mip_gap = float(p.get("mip_gap", 1e-6))
+    mip_gap = float(p.get("mip_gap", DEFAULT_MIP_GAP))
     int_tol = float(p.get("integrality_tol", 1e-6))
     time_limit = p.get("time_limit_s")
 
     incumbent_x = None
     incumbent_obj = INF
-    nodes = 0
-    lp_iters = 0
 
-    status, x, obj, _, iters = _reference_lp(request)
-    lp_iters += iters
+    status, x, obj = _reference_lp(request)
     if status is SolveStatus.INFEASIBLE:
         return SolveOutcome(status=status, wall_time_s=time.monotonic() - t0,
-                            backend="reference", extra={"nodes": 1})
+                            backend="reference")
     if status is SolveStatus.UNBOUNDED:
         return SolveOutcome(status=status, wall_time_s=time.monotonic() - t0,
-                            backend="reference", message="relaxation unbounded",
-                            extra={"nodes": 1})
+                            backend="reference", message="relaxation unbounded")
 
     counter = 0
     heap: list[tuple[float, int, np.ndarray, np.ndarray, np.ndarray, float]] = []
@@ -700,14 +666,13 @@ def _branch_and_bound(request: SolveRequest, int_idx: np.ndarray, t0: float) -> 
         return all(abs(xv[j] - round(xv[j])) <= int_tol for j in int_idx)
 
     def accept(xv, lb, ub):
-        nonlocal incumbent_x, incumbent_obj, lp_iters
+        nonlocal incumbent_x, incumbent_obj
         # re-solve with integers pinned so the incumbent is exact
         lb2, ub2 = lb.copy(), ub.copy()
         for j in int_idx:
             v = round(xv[j])
             lb2[j] = ub2[j] = v
-        st, x2, obj2, _, it2 = _reference_lp(request, lb2, ub2)
-        lp_iters += it2
+        st, x2, obj2 = _reference_lp(request, lb2, ub2)
         if st is SolveStatus.OPTIMAL and obj2 < incumbent_obj:
             incumbent_x, incumbent_obj = x2, obj2
 
@@ -719,7 +684,6 @@ def _branch_and_bound(request: SolveRequest, int_idx: np.ndarray, t0: float) -> 
         if incumbent_obj < INF and bound >= incumbent_obj - max(
                 1e-12, mip_gap * abs(incumbent_obj)):
             continue
-        nodes += 1
         if integral(x_rel):
             accept(x_rel, lb, ub)
             continue
@@ -741,8 +705,7 @@ def _branch_and_bound(request: SolveRequest, int_idx: np.ndarray, t0: float) -> 
                 ub2[frac_j] = math.floor(x_rel[frac_j])
             else:
                 lb2[frac_j] = math.ceil(x_rel[frac_j])
-            st, x2, obj2, _, it2 = _reference_lp(request, lb2, ub2)
-            lp_iters += it2
+            st, x2, obj2 = _reference_lp(request, lb2, ub2)
             if st is not SolveStatus.OPTIMAL:
                 continue
             if incumbent_obj < INF and obj2 >= incumbent_obj - max(
@@ -756,18 +719,14 @@ def _branch_and_bound(request: SolveRequest, int_idx: np.ndarray, t0: float) -> 
     if incumbent_x is None:
         if timed_out:
             return SolveOutcome(status=SolveStatus.FAILED, wall_time_s=wall,
-                                backend="reference", message="time limit, no incumbent",
-                                extra={"nodes": nodes, "lp_iterations": lp_iters})
+                                backend="reference", message="time limit, no incumbent")
         return SolveOutcome(status=SolveStatus.INFEASIBLE, wall_time_s=wall,
-                            backend="reference",
-                            extra={"nodes": nodes, "lp_iterations": lp_iters})
+                            backend="reference")
     gap = (incumbent_obj - best_bound) / max(1.0, abs(incumbent_obj))
     status = SolveStatus.FEASIBLE if timed_out else SolveStatus.OPTIMAL
     return SolveOutcome(
         status=status, x=incumbent_x, objective=incumbent_obj,
         bound=best_bound, gap=max(0.0, gap), wall_time_s=wall, backend="reference",
-        extra={"nodes": nodes, "lp_iterations": lp_iters,
-               "duality_checks": duality_check_count()},
     )
 
 

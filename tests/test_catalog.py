@@ -1,6 +1,6 @@
 """Technology catalog: annuities, residuals, refurbishment variants, costs."""
 
-import importlib.resources
+import hashlib
 import json
 import math
 
@@ -250,9 +250,9 @@ def test_capex_total_is_affine(cat):
     assert t.capex_total(10.0) == pytest.approx(t.capex_fix + 10.0 * t.capex_var)
 
 
-def test_packaged_catalog_matches_default(cat):
-    data = (importlib.resources.files("munipath") / "data" / "catalog.json").read_text()
-    assert load_catalog(data).to_dict() == cat.to_dict()
+def test_default_catalog_content_is_pinned(cat):
+    digest = hashlib.sha256(json.dumps(cat.to_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == "12d2fa2fec2c9dbcd34378359dc40a62d5392d03bf6075e2496b4f8aefaaaa6f"
 
 
 def test_catalog_round_trip(cat, tmp_path):

@@ -219,3 +219,19 @@ def test_unsolvable_stock_exits_3(tmp_path):
                   "--out-dir", str(tmp_path / "out"), "--workers", "1")
     assert res.returncode == 3
     assert "solver failure" in res.stderr
+
+
+def test_backend_flag_wins_over_env(twin2, tmp_path):
+    res = run_cli("pathway", str(twin2), "--periods", "2023,2030",
+                  "--out-dir", str(tmp_path / "out"), "--workers", "1",
+                  "--backend", "highs", env_extra={"MUNIPATH_SOLVER": "bogus"})
+    assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize("workers", ["0", "-2", "1.5", "many"])
+def test_pathway_bad_workers_exits_2(twin2, tmp_path, workers):
+    res = run_cli("pathway", str(twin2), "--periods", "2023,2030",
+                  "--out-dir", str(tmp_path / "out"), "--workers", workers)
+    assert res.returncode == 2
+    assert "--workers" in res.stderr
+    assert not (tmp_path / "out").exists()

@@ -406,10 +406,76 @@ def test_pathway_fails_when_nothing_is_solvable(twin6, cat, scen):
         plan_pathway(hopeless, cat, scen, [2023, 2033], params=PARAMS)
 
 
-def test_parallel_workers_match_serial(cat, scen):
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: keeps its size and the tasks it was
+    given, and runs them serially in this process."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.tasks = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        self.tasks = list(tasks)
+        return map(fn, self.tasks)
+
+
+def _record_pools(monkeypatch) -> list[_RecordingPool]:
+    pools = []
+
+    def make(max_workers):
+        pools.append(_RecordingPool(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(pathway, "ProcessPoolExecutor", make)
+    return pools
+
+
+def _role(options: dict) -> str:
+    if options.get("include_transition_costs") is False:
+        return "status quo"
+    if options.get("allow_refurb") is False and options.get("allow_plant_change") is False:
+        return "frozen"
+    return "re-solve" if "allow_refurb" in options else "free"
+
+
+def test_pool_never_exceeds_the_task_count(monkeypatch):
+    pools = _record_pools(monkeypatch)
+    monkeypatch.setattr(pathway, "_solve_one", str.upper)
+    assert pathway._solve_all(["a", "b", "c"], workers=64) == ["A", "B", "C"]
+    assert [pool.max_workers for pool in pools] == [3]
+    # one task, or one worker, runs in-process
+    assert pathway._solve_all(["d"], workers=64) == ["D"]
+    assert pathway._solve_all(["e", "f"], workers=1) == ["E", "F"]
+    assert len(pools) == 1
+
+
+@pytest.fixture(scope="module")
+def serial_path(cat, scen):
     twin = make_fixture_twin(3, seed=9)
-    kw = dict(previous_year=2023, target_year=2030, params=PARAMS)
-    serial = plan_stage(twin, cat, scen, workers=0, **kw)
-    parallel = plan_stage(twin, cat, scen, workers=2, **kw)
-    assert _stage_dict(serial) == _stage_dict(parallel)
-    assert serial.twin_after.to_dict() == parallel.twin_after.to_dict()
+    path = plan_pathway(twin, cat, scen, [2023, 2030], params=PARAMS, workers=0)
+    # two denied buildings: the re-solves form a batch of their own
+    assert len({bid for bid, _ in path.stages[1].denied}) == 2
+    return twin, path
+
+
+def test_parallel_workers_match_serial(serial_path, cat, scen):
+    twin, serial = serial_path
+    parallel = plan_pathway(twin, cat, scen, [2023, 2030], params=PARAMS, workers=2)
+    assert serial.to_json() == parallel.to_json()
+    assert serial.stages[1].twin_after.to_dict() == parallel.stages[1].twin_after.to_dict()
+
+
+def test_every_role_goes_through_the_pool(serial_path, monkeypatch, cat, scen):
+    twin, serial = serial_path
+    pools = _record_pools(monkeypatch)
+    pooled = plan_pathway(twin, cat, scen, [2023, 2030], params=PARAMS, workers=2)
+    assert pooled.to_json() == serial.to_json()
+    assert [pool.max_workers for pool in pools] == [2, 2, 2]
+    assert [sorted({_role(t.options) for t in pool.tasks}) for pool in pools] == [
+        ["status quo"], ["free", "frozen"], ["re-solve"]]

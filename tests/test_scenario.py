@@ -1,6 +1,6 @@
 """Price/emission trajectories, rate caps, and retrofit budgets."""
 
-import importlib.resources
+import hashlib
 import json
 import math
 
@@ -174,9 +174,9 @@ def test_scenario_round_trip(scen, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_packaged_scenario_matches_default(scen):
-    data = (importlib.resources.files("munipath") / "data" / "scenario.json").read_text()
-    assert load_scenario(data).to_dict() == scen.to_dict()
+def test_default_scenario_content_is_pinned(scen):
+    digest = hashlib.sha256(json.dumps(scen.to_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == "f68589995c07ef08e08d688e5aebff8e08482a06e4653fd308fd5606e4b8bcb4"
 
 
 def test_from_dict_rejects_malformed():

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -33,6 +33,13 @@ EMBODIED_INSTALL_SHARE = 0.8
 
 class CatalogError(Exception):
     """The catalog document is malformed or breaks an invariant."""
+
+
+def _given_defaults(cls, d: dict, skip: tuple[str, ...] = ()) -> dict:
+    """Keyword arguments for the fields of ``cls`` with a plain default that
+    ``d`` sets, converted to the default's type; absent keys keep the default."""
+    return {f.name: type(f.default)(d[f.name]) for f in fields(cls)
+            if f.default is not MISSING and f.name in d and f.name not in skip}
 
 
 @dataclass(frozen=True)
@@ -112,38 +119,24 @@ class TechnologySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TechnologySpec":
-        eff = d.get("efficiency", 1.0)
+        kw = _given_defaults(cls, d, skip=("efficiency", "byproduct", "max_size"))
+        eff = d.get("efficiency")
         if isinstance(eff, dict):
-            eff = {str(k): float(v) for k, v in eff.items()}
-        else:
-            eff = float(eff)
+            kw["efficiency"] = {str(k): float(v) for k, v in eff.items()}
+        elif "efficiency" in d:
+            kw["efficiency"] = float(eff)
         byp = d.get("byproduct")
-        max_size = d.get("max_size")
+        if byp:
+            kw["byproduct"] = (str(byp[0]), float(byp[1]))
+        if d.get("max_size") is not None:  # null means unbounded
+            kw["max_size"] = float(d["max_size"])
         return cls(
             id=str(d["id"]),
             name=str(d.get("name", d["id"])),
             kind=str(d["kind"]),
             carrier=d.get("carrier"),
             output=d.get("output"),
-            efficiency=eff,
-            byproduct=(str(byp[0]), float(byp[1])) if byp else None,
-            capex_fix=float(d.get("capex_fix", 0.0)),
-            capex_var=float(d.get("capex_var", 0.0)),
-            opex_fixed=float(d.get("opex_fixed", 0.0)),
-            opex_var=float(d.get("opex_var", 0.0)),
-            lifetime=int(d.get("lifetime", 20)),
-            deconstruction=float(d.get("deconstruction", 0.0)),
-            embodied=float(d.get("embodied", 0.0)),
-            subsidy_rate=float(d.get("subsidy_rate", 0.0)),
-            roof_area_per_kw=float(d.get("roof_area_per_kw", 0.0)),
-            open_area_per_kw=float(d.get("open_area_per_kw", 0.0)),
-            min_size=float(d.get("min_size", 0.0)),
-            max_size=math.inf if max_size is None else float(max_size),
-            requires_heat_network=bool(d.get("requires_heat_network", False)),
-            charge_efficiency=float(d.get("charge_efficiency", 1.0)),
-            discharge_efficiency=float(d.get("discharge_efficiency", 1.0)),
-            loss_per_hour=float(d.get("loss_per_hour", 0.0)),
-            power_per_capacity=float(d.get("power_per_capacity", 1.0)),
+            **kw,
         )
 
 
@@ -156,7 +149,7 @@ class RefurbComponentSpec:
     area_factor: float  # component area as a multiple of the roof footprint
     demand_factor: dict[str, float]  # per heat vector, multiplier once done
     lifetime: int
-    embodied_per_m2: float  # kgCO2eq per m2
+    embodied_per_m2: float = 0.0  # kgCO2eq per m2
 
     def area(self, building: Building) -> float:
         return self.area_factor * building.roof_area
@@ -179,7 +172,7 @@ class RefurbComponentSpec:
             area_factor=float(d["area_factor"]),
             demand_factor={str(k): float(v) for k, v in d["demand_factor"].items()},
             lifetime=int(d["lifetime"]),
-            embodied_per_m2=float(d.get("embodied_per_m2", 0.0)),
+            **_given_defaults(cls, d),
         )
 
 
@@ -244,8 +237,8 @@ class Catalog:
         cat = cls(
             techs=techs,
             refurb=refurb,
-            discount_rate=float(d.get("discount_rate", 0.03)),
             meta=dict(d.get("meta", {})),
+            **_given_defaults(cls, d),
         )
         cat.validate()
         return cat

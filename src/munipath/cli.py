@@ -127,7 +127,6 @@ def _load_inputs(args):
         cat = load_catalog(args.catalog)
     else:
         cat = default_catalog()
-    cat.validate()
     if args.scenario:
         _require_file(args.scenario)
         scenario = load_scenario(args.scenario)

@@ -3,11 +3,17 @@
 Three backends sit behind one request type:
 
 * ``highs``: scipy's interface to the HiGHS MILP solver, the default.
-  It runs with the RENS and RINS sub-MIP heuristics switched off: on the
-  per-building models (about 30 binaries) they spend most of the LP
-  iterations and find nothing that branch and bound does not, so the same
-  optima are proven in roughly half the time (tested with scipy 1.17.1,
-  HiGHS 1.12.0).
+  It runs with the RENS, RINS and feasibility-jump heuristics switched
+  off: on the per-building models (about 30 binaries) they find nothing
+  that branch and bound does not, and feasibility jump alone took over
+  40 % of the time of the solves whose integers are all fixed.  Presolve
+  runs only when no integer column is free.  On a free per-building MILP
+  it restarts the root search several times: the 23 free MILPs of the
+  benchmark fixtures took 4.8 s without it and 7.4 s with it, same
+  optima.  The 21 models whose integers are all fixed (status quo, frozen
+  plan) keep it (0.100 s with it, 0.111 s without).  Restarts cannot be
+  switched off on their own, because scipy's HiGHS binding does not
+  expose ``mip_allow_restart``.  Measured with scipy 1.17.1, HiGHS 1.12.0.
 * ``reference``: a self-contained dense two-phase primal simplex plus
   branch and bound.  Slow but transparent; every LP solve is certified
   against its dual, so it doubles as the trust anchor in tests.
@@ -279,13 +285,24 @@ def _solve_highs(request: SolveRequest) -> SolveOutcome:
 
     t0 = time.monotonic()
     p = request.params
+    # Presolve only where no integer column is free (status-quo and
+    # frozen-plan models, LPs in all but name).  With a free integer column
+    # it restarts the root search several times on the per-building MILPs:
+    # 7.4 s with it against 4.8 s without for the 23 free MILPs of the
+    # benchmark fixtures, same optima (scipy 1.17.1, HiGHS 1.12.0).
+    free_integers = request.integrality & (request.var_lb < request.var_ub)
     options = {
         "mip_rel_gap": float(p.get("mip_gap", DEFAULT_MIP_GAP)),
-        "presolve": True,
+        "presolve": not free_integers.any(),
         # HiGHS names outside milp's documented set: the sub-MIP neighbourhood
-        # searches pay off on hard MILPs, not on the small per-building models
+        # searches and feasibility jump pay off on hard MILPs, not on the
+        # small per-building models, where they find nothing branch and
+        # bound does not (feasibility jump took over 40 % of the fixed-integer
+        # solve time).  Restarts cannot be switched off on their own: scipy's
+        # HighsOptions binding lacks mip_allow_restart.
         "mip_heuristic_run_rens": False,
         "mip_heuristic_run_rins": False,
+        "mip_heuristic_run_feasibility_jump": False,
     }
     if p.get("time_limit_s") is not None:
         options["time_limit"] = float(p["time_limit_s"])
@@ -747,10 +764,13 @@ def _sanitize_names(names, prefix) -> list[str]:
     seen: set[str] = set()
     for i, raw in enumerate(names):
         s = _LP_UNSAFE.sub("_", raw) or prefix
-        if not s[0].isalpha() or re.match(r"^[eE][0-9.]", s):
+        if (not s[0].isalpha() or re.match(r"^[eE][0-9.]", s)
+                or re.fullmatch(r"(?i)inf(inity)?", s)):
             s = f"{prefix}_{s}"
         if s in seen:
             s = f"{s}__{i}"
+        while s in seen:  # the suffixed name may be taken too
+            s += "_"
         seen.add(s)
         out.append(s)
     return out
@@ -863,8 +883,8 @@ _SECTION_RE = re.compile(
 )
 _TOKEN_RE = re.compile(
     r"(?P<rel><=|>=|=)|(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|"
-    r"(?P<inf>[+-]?(?:infinity|inf))|(?P<sign>[+-])|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|"
-    r"(?P<label>:)"
+    r"(?P<inf>[+-]?(?:infinity|inf)(?![A-Za-z0-9_]))|(?P<sign>[+-])|"
+    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<label>:)"
 )
 
 

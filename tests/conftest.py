@@ -23,9 +23,7 @@ STAGE_YEARS = [2023, 2030, 2045]
 
 @pytest.fixture(scope="session")
 def cat():
-    c = default_catalog()
-    c.validate()
-    return c
+    return default_catalog()
 
 
 @pytest.fixture(scope="session")

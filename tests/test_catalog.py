@@ -265,6 +265,24 @@ def test_catalog_round_trip(cat, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_absent_keys_take_the_field_defaults(cat):
+    spec = TechnologySpec.from_dict({"id": "bare", "kind": "converter"})
+    assert spec == TechnologySpec(id="bare", name="bare", kind="converter",
+                                  carrier=None, output=None)
+    comp = RefurbComponentSpec.from_dict({
+        "name": "roof", "cost_per_m2": 1.0, "area_factor": 1.0,
+        "demand_factor": {}, "lifetime": 30})
+    assert comp.embodied_per_m2 == 0.0
+    doc = cat.to_dict()
+    del doc["discount_rate"], doc["meta"]
+    assert Catalog.from_dict(doc) == Catalog(cat.techs, cat.refurb)
+    # present keys take the type of the field default
+    spec = TechnologySpec.from_dict({"id": "t", "kind": "storage", "lifetime": 15.0,
+                                     "capex_var": 3, "max_size": None})
+    assert type(spec.lifetime) is int and type(spec.capex_var) is float
+    assert spec.max_size == math.inf
+
+
 def test_restrict_catalog(cat):
     small = restrict_catalog(cat, ["gas_boiler", "grid_connection"])
     assert set(small.techs) == {"gas_boiler", "grid_connection"}

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from munipath.catalog import default_catalog
 from munipath.twin import load_twin
 
 EXE = [sys.executable, "-m", "munipath"]
@@ -171,6 +172,23 @@ def twin2(tmp_path_factory):
     gen = run_cli("gen-fixture", "--out", str(twin_path), "--buildings", "2")
     assert gen.returncode == 0, gen.stderr
     return twin_path
+
+
+def test_validate_reads_the_catalog_option(twin2, tmp_path):
+    doc = default_catalog().to_dict()
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(doc))
+    res = run_cli("validate", str(twin2), "--catalog", str(good))
+    assert res.returncode == 0, res.stderr
+    doc["technologies"][0]["capex_fix"] = -1.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli("validate", str(twin2), "--catalog", str(bad))
+    assert res.returncode == 1  # invalid input data
+    assert "negative cost entry" in res.stderr
+    res = run_cli("validate", str(twin2), "--catalog", str(tmp_path / "none.json"))
+    assert res.returncode == 2  # I/O
+    assert "no such file" in res.stderr
 
 
 def test_pathway_unknown_backend_exits_2(twin2, tmp_path):

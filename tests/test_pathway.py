@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from munipath import pathway
 from munipath.catalog import CostBreakdown, variant_delta_factor
@@ -218,6 +220,37 @@ def test_assign_years_additions_ride_along(scen):
     years = {(mm.building_id, mm.kind): mm.implementation_year for mm in out}
     assert years[("a", "addition")] == years[("a", "conversion")] == 2029
     assert years[("z", "addition")] == 2033  # no conversion to follow
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(span=st.integers(1, 12), n_buildings=st.integers(1, 60),
+       caps=st.tuples(st.floats(0.005, 0.2), st.floats(0.005, 0.2)),
+       data=st.data())
+def test_assign_years_respects_the_cumulative_quota(scen, span, n_buildings, caps, data):
+    y0, y1 = 2023, 2023 + span
+    cap_of = dict(zip(BUDGETED_KINDS, caps))
+    scenario = dataclasses.replace(scen, renovation_rate_cap=cap_of["renovation"],
+                                   conversion_rate_cap=cap_of["conversion"])
+    measures = []
+    for kind in BUDGETED_KINDS:
+        count = data.draw(st.integers(
+            0, cumulative_quota(cap_of[kind], n_buildings, span)), label=kind)
+        scores = data.draw(st.lists(st.integers(0, 3), min_size=count, max_size=count))
+        measures += [_measure(f"{kind[0]}{i:02d}", kind, score=float(sc))
+                     for i, sc in enumerate(scores)]
+    out = _assign_years(measures, y0=y0, y1=y1, n_buildings=n_buildings,
+                        scenario=scenario, building_expiry={})
+    assert len(out) == len(measures)
+    for kind in BUDGETED_KINDS:
+        ranked = sorted((mm for mm in out if mm.kind == kind),
+                        key=lambda mm: (-mm.reduction_score, mm.building_id))
+        for j, mm in enumerate(ranked, start=1):
+            first_open = min(y for y in range(y0 + 1, y1 + 1)
+                             if cumulative_quota(cap_of[kind], n_buildings, y - y0) >= j)
+            assert mm.implementation_year == first_open
+        for k in range(1, span + 1):
+            done = sum(mm.implementation_year <= y0 + k for mm in ranked)
+            assert done <= cumulative_quota(cap_of[kind], n_buildings, k)
 
 
 # ---------------------------------------------------------------------------

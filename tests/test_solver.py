@@ -1,6 +1,7 @@
 """Solver layer: backends, certificates, LP/result files, capacity guards."""
 
 import dataclasses
+import io
 import os
 import re
 import sys
@@ -8,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from munipath.solver import (
     MAX_REFERENCE_INTEGERS,
@@ -265,7 +268,18 @@ def test_time_limit_param_accepted():
         assert out.status is SolveStatus.OPTIMAL
 
 
-def test_highs_runs_without_sub_mip_heuristics(monkeypatch):
+def _tiny_mip_fixed() -> SolveRequest:
+    # the knapsack with every integer column fixed at its optimum
+    req = _tiny_mip()
+    x = np.array([1.0, 0.0, 1.0])
+    return req.with_bounds(x, x)
+
+
+@pytest.mark.parametrize("make_request, presolve", [
+    (_tiny_mip, False),  # a free integer column: presolve would restart
+    (_tiny_mip_fixed, True),  # integers all fixed: an LP, presolve pays off
+], ids=["free", "fixed"])
+def test_highs_runs_without_sub_mip_heuristics(monkeypatch, make_request, presolve):
     from scipy import optimize
 
     seen = []
@@ -277,9 +291,11 @@ def test_highs_runs_without_sub_mip_heuristics(monkeypatch):
 
     monkeypatch.setattr(optimize, "milp", spy)
     req = dataclasses.replace(
-        _tiny_mip(), params={"mip_gap": 0.02, "time_limit_s": 7.5})
+        make_request(), params={"mip_gap": 0.02, "time_limit_s": 7.5})
     with warnings.catch_warnings():
-        # HiGHS warns and carries on when it does not know an option name
+        # An option name HiGHS does not know draws a warning and is dropped.
+        # A name HiGHS knows but scipy's HighsOptions binding does not expose
+        # (mip_allow_restart, say) makes milp raise AttributeError instead.
         warnings.simplefilter("error")
         out = solve(req, backend="highs")
     assert out.status is SolveStatus.OPTIMAL
@@ -287,6 +303,8 @@ def test_highs_runs_without_sub_mip_heuristics(monkeypatch):
     (options,) = seen
     assert options["mip_heuristic_run_rens"] is False
     assert options["mip_heuristic_run_rins"] is False
+    assert options["mip_heuristic_run_feasibility_jump"] is False
+    assert options["presolve"] is presolve
     assert options["mip_rel_gap"] == 0.02
     assert options["time_limit"] == 7.5
 
@@ -366,6 +384,70 @@ def test_lp_file_round_trip(tmp_path):
     b = solve(again, backend="highs")
     assert a.status is b.status is SolveStatus.OPTIMAL
     assert a.objective == pytest.approx(b.objective, rel=1e-9)
+
+
+_LOWER = st.sampled_from([-INF, -2.5, 0.0, 1.0, 4.0])
+_UPPER = st.sampled_from([-2.5, 0.0, 1.0, 4.0, INF])
+
+
+@st.composite
+def _small_requests(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 4))
+    coef = st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.5, -0.125, 3e-4, 1234.5])
+    a = np.array(draw(st.lists(st.lists(coef, min_size=n, max_size=n),
+                               min_size=m, max_size=m)), dtype=float).reshape(m, n)
+    row_lb, row_ub, var_lb, var_ub = [], [], [], []
+    for lbs, ubs, size in ((row_lb, row_ub, m), (var_lb, var_ub, n)):
+        for _ in range(size):
+            lo, hi = sorted(draw(st.tuples(_LOWER, _UPPER)))
+            lbs.append(lo)
+            ubs.append(hi)
+    for i in range(m):
+        if not a[i].any():  # the writer drops empty rows, which bind nothing
+            row_lb[i], row_ub[i] = -INF, INF
+    req = _request(draw(st.lists(coef, min_size=n, max_size=n)), a, row_lb, row_ub,
+                   var_lb, var_ub, draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    names = draw(st.lists(st.text("ab _1.", min_size=1, max_size=4)
+                          | st.sampled_from(["inf", "Infinity", "info", "e1", "x__1"]),
+                          min_size=n, max_size=n, unique=True))
+    return dataclasses.replace(req, var_names=tuple(names),
+                               obj_offset=draw(st.sampled_from([0.0, -3.5, 17.0])))
+
+
+def _one_sided_rows(req):
+    """Rows as (terms, lb, ub) with range rows split in two, the LP file's form."""
+    dense = req.dense_matrix()
+    out = []
+    for i in range(req.n_rows):
+        terms = tuple(dense[i])
+        lo, hi = float(req.row_lb[i]), float(req.row_ub[i])
+        if not any(terms) or (lo == -INF and hi == INF):
+            continue
+        if lo == hi or lo == -INF or hi == INF:
+            out.append((terms, lo, hi))
+        else:
+            out += [(terms, lo, INF), (terms, -INF, hi)]
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(req=_small_requests())
+@example(req=dataclasses.replace(  # "c?" sanitizes to "c_", then suffixes to "c___2"
+    _request([1.0, 2.0, 3.0], [[1.0, 1.0, 1.0]], [-INF], [4.0], [0.0] * 3,
+             [1.0] * 3, [False] * 3), var_names=("c___2", "c_", "c?")))
+@example(req=dataclasses.replace(_tiny_mip(), var_names=("inf", "infinity", "info")))
+def test_lp_file_round_trip_on_random_requests(req):
+    buf = io.StringIO()
+    write_lp_file(req, buf)
+    again = read_lp_file(buf.getvalue())
+    assert again.var_names == tuple(lp_var_names(req))
+    assert again.obj_offset == req.obj_offset
+    assert np.array_equal(again.obj, req.obj)
+    assert np.array_equal(again.var_lb, req.var_lb)
+    assert np.array_equal(again.var_ub, req.var_ub)
+    assert np.array_equal(again.integrality, req.integrality)
+    assert _one_sided_rows(again) == _one_sided_rows(req)
 
 
 def test_result_file_round_trip(tmp_path):

@@ -34,7 +34,6 @@ from .pathway import (  # noqa: F401
     TransformationPath,
     plan_pathway,
     plan_stage,
-    save_pathway,
 )
 from .report import (  # noqa: F401
     StageReport,

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
 
+from .docio import dumps, read_text, write_text
 from .twin import COMPONENTS, HEAT_VECTORS, Building, RefurbState
 
 PRICED_CARRIERS = ("electricity", "gas", "oil", "pellets", "woodchips", "heat_network")
@@ -29,6 +29,11 @@ KIND_CONNECTION = "connection"
 # Share of a unit's embodied emissions booked at installation; the rest is
 # booked when the unit is dismantled.
 EMBODIED_INSTALL_SHARE = 0.8
+
+
+# TechnologySpec fields that only storage documents carry
+_STORAGE_KEYS = ("charge_efficiency", "discharge_efficiency", "loss_per_hour",
+                 "power_per_capacity")
 
 
 class CatalogError(Exception):
@@ -85,36 +90,19 @@ class TechnologySpec:
     def capex_total(self, size: float) -> float:
         return self.capex_fix + self.capex_var * size
 
+    @property
+    def is_heat_converter(self) -> bool:
+        """A converter whose main output is heat: installing or dropping one
+        is a heating conversion."""
+        return self.output == "heat" and self.kind == KIND_CONVERTER
+
     def to_dict(self) -> dict:
-        d = {
-            "id": self.id,
-            "name": self.name,
-            "kind": self.kind,
-            "carrier": self.carrier,
-            "output": self.output,
-            "efficiency": self.efficiency,
-            "byproduct": list(self.byproduct) if self.byproduct else None,
-            "capex_fix": self.capex_fix,
-            "capex_var": self.capex_var,
-            "opex_fixed": self.opex_fixed,
-            "opex_var": self.opex_var,
-            "lifetime": self.lifetime,
-            "deconstruction": self.deconstruction,
-            "embodied": self.embodied,
-            "subsidy_rate": self.subsidy_rate,
-            "roof_area_per_kw": self.roof_area_per_kw,
-            "open_area_per_kw": self.open_area_per_kw,
-            "min_size": self.min_size,
-            "max_size": self.max_size if math.isfinite(self.max_size) else None,
-            "requires_heat_network": self.requires_heat_network,
-        }
-        if self.kind == KIND_STORAGE:
-            d.update({
-                "charge_efficiency": self.charge_efficiency,
-                "discharge_efficiency": self.discharge_efficiency,
-                "loss_per_hour": self.loss_per_hour,
-                "power_per_capacity": self.power_per_capacity,
-            })
+        d = asdict(self)
+        if not math.isfinite(self.max_size):
+            d["max_size"] = None
+        if self.kind != KIND_STORAGE:
+            for key in _STORAGE_KEYS:
+                del d[key]
         return d
 
     @classmethod
@@ -155,14 +143,7 @@ class RefurbComponentSpec:
         return self.area_factor * building.roof_area
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "cost_per_m2": self.cost_per_m2,
-            "area_factor": self.area_factor,
-            "demand_factor": dict(self.demand_factor),
-            "lifetime": self.lifetime,
-            "embodied_per_m2": self.embodied_per_m2,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RefurbComponentSpec":
@@ -245,23 +226,15 @@ class Catalog:
 
 
 def load_catalog(source) -> Catalog:
-    """Read a catalog from a JSON path, file object, or string."""
+    """Read a catalog from any source ``docio.read_text`` takes."""
     try:
-        if isinstance(source, (str, os.PathLike)) and not str(source).lstrip().startswith("{"):
-            with open(source, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        elif isinstance(source, str):
-            doc = json.loads(source)
-        else:
-            doc = json.load(source)
-        return Catalog.from_dict(doc)
+        return Catalog.from_dict(json.loads(read_text(source)[0]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CatalogError(f"malformed catalog: {exc}") from exc
 
 
-def save_catalog(cat: Catalog, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cat.to_dict(), fh, sort_keys=True, indent=1)
+def save_catalog(cat: Catalog, sink) -> None:
+    write_text(sink, dumps(cat.to_dict()))
 
 
 # ---------------------------------------------------------------------------
@@ -312,31 +285,17 @@ class CostBreakdown:
                 + self.deconstruction - self.residual_value)
 
     def __add__(self, other: "CostBreakdown") -> "CostBreakdown":
-        return CostBreakdown(
-            capex=self.capex + other.capex,
-            capex_subsidy=self.capex_subsidy + other.capex_subsidy,
-            opex=self.opex + other.opex,
-            deconstruction=self.deconstruction + other.deconstruction,
-            residual_value=self.residual_value + other.residual_value,
-        )
+        return CostBreakdown(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
     def scaled(self, factor: float) -> "CostBreakdown":
-        return CostBreakdown(*(factor * getattr(self, f) for f in (
-            "capex", "capex_subsidy", "opex", "deconstruction", "residual_value")))
+        return CostBreakdown(*(factor * v for v in astuple(self)))
 
     @classmethod
     def zero(cls) -> "CostBreakdown":
         return cls()
 
     def to_dict(self) -> dict:
-        return {
-            "capex": self.capex,
-            "capex_subsidy": self.capex_subsidy,
-            "opex": self.opex,
-            "deconstruction": self.deconstruction,
-            "residual_value": self.residual_value,
-            "objective": self.objective,
-        }
+        return {**asdict(self), "objective": self.objective}
 
 
 def objective_value(breakdown: CostBreakdown) -> float:

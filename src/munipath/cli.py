@@ -13,9 +13,11 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 
 from . import __version__
 from .catalog import CatalogError, default_catalog, load_catalog
+from .docio import dumps, read_text, write_text
 from .fixtures import make_fixture_twin
 from .pathway import PathwayError, plan_pathway
 from .report import geojson_from_document, reports_from_document
@@ -58,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mip-gap", type=float, default=1e-4,
                    help="relative MIP gap (default 1e-4)")
     p.add_argument("--time-limit", type=_positive_seconds, default=None,
-                   help="per-solve time limit in seconds; MUNIPATH_TIME_LIMIT overrides")
+                   help="per-solve time limit in seconds; "
+                        "MUNIPATH_TIME_LIMIT applies only when this is not given")
     p.add_argument("--workers", type=_positive_int, default=None,
                    help="parallel building solves (default: CPU count)")
     p.set_defaults(func=cmd_pathway)
@@ -156,7 +159,7 @@ def cmd_pathway(args) -> int:
         return EXIT_IO
     params = {"mip_gap": args.mip_gap}
     time_limit = args.time_limit
-    if "MUNIPATH_TIME_LIMIT" in os.environ:
+    if time_limit is None and "MUNIPATH_TIME_LIMIT" in os.environ:
         try:
             time_limit = _positive_seconds(os.environ["MUNIPATH_TIME_LIMIT"])
         except argparse.ArgumentTypeError as exc:
@@ -173,8 +176,7 @@ def cmd_pathway(args) -> int:
     )
     doc = path_document(path_obj, cat)
     os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, "path.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=1))
+    write_text(os.path.join(args.out_dir, "path.json"), dumps(doc))
     _emit_outputs(doc, args.out_dir, year=None)
 
     print(f"{'stage':>6}  {'measures':>8}  {'cost EUR/a':>14}  {'emissions kg/a':>15}")
@@ -188,8 +190,7 @@ def cmd_pathway(args) -> int:
 
 def cmd_report(args) -> int:
     _require_file(args.document)
-    with open(args.document, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = json.loads(read_text(args.document)[0])
     if "stages" not in doc or "stage_years" not in doc:
         print(f"{args.document} is not a pathway document", file=sys.stderr)
         return EXIT_IO
@@ -210,10 +211,8 @@ def _emit_outputs(doc: dict, out_dir: str, year: int | None) -> None:
         if year is not None and rep.stage_year != year:
             continue
         export_csv([rep], os.path.join(out_dir, f"report_{rep.stage_year}.csv"))
-        geo = geojson_from_document(doc, rep.stage_year)
-        path = os.path.join(out_dir, f"stock_{rep.stage_year}.geojson")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(geo)
+        write_text(os.path.join(out_dir, f"stock_{rep.stage_year}.geojson"),
+                   geojson_from_document(doc, rep.stage_year))
 
 
 def cmd_gen_fixture(args) -> int:
@@ -244,7 +243,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (PathwayError, SolverError) as exc:
+    except (PathwayError, SolverError, BrokenExecutor) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import (
+    EMBODIED_INSTALL_SHARE,
     KIND_CONNECTION,
     KIND_CONVERTER,
     KIND_STORAGE,
@@ -166,10 +167,6 @@ def _availability(spec: TechnologySpec, grid: TimeGrid) -> np.ndarray | None:
     return None
 
 
-def _is_heat_converter(spec: TechnologySpec) -> bool:
-    return spec.output == "heat" and spec.kind == KIND_CONVERTER
-
-
 def _unit_domain(spec: TechnologySpec) -> str:
     return "heat" if spec.output == "heat" else "electricity"
 
@@ -228,7 +225,7 @@ def build_model(
                            existing=i, cap=inst.size))
     candidates = _candidate_specs(building, cat) if allow_plant_change else []
     if allow_plant_change == "additions_only":
-        candidates = [spec for spec in candidates if not _is_heat_converter(spec)]
+        candidates = [spec for spec in candidates if not spec.is_heat_converter]
     for spec in candidates:
         units.append(_Unit(key=f"n:{spec.id}", spec=spec, existing=None, cap=None))
 
@@ -295,14 +292,15 @@ def build_model(
         v_drop[i] = new_var(
             f"drop[{i}]", ("drop", i), ub=1.0, integer=True, dom=dom,
             dec=af_period * dec_cost if trans else 0.0,
-            s3=(1.0 - 0.8) * spec.embodied * inst.size / period_years if trans else 0.0,
+            s3=((1.0 - EMBODIED_INSTALL_SHARE) * spec.embodied * inst.size / period_years
+                if trans else 0.0),
         )
         rhs = 1.0 if keep_dismantle_rule == "choose_one" else 0.0
         new_row(f"keepdrop[{i}]", ("keepdrop", i), rhs, rhs)
         m.add_term(m.n_rows - 1, v_keep[i], 1.0)
         m.add_term(m.n_rows - 1, v_drop[i], 1.0)
         frozen = (not allow_plant_change
-                  or (allow_plant_change == "additions_only" and _is_heat_converter(spec)))
+                  or (allow_plant_change == "additions_only" and spec.is_heat_converter))
         if frozen:
             m.fix_var(v_keep[i], 1.0)
             m.fix_var(v_drop[i], 0.0)
@@ -326,7 +324,7 @@ def build_model(
             capex=af_life * spec.capex_var,
             subsidy=af_life * spec.subsidy_rate * spec.capex_var,
             opex=spec.opex_fixed,
-            s3=0.8 * spec.embodied / spec.lifetime,
+            s3=EMBODIED_INSTALL_SHARE * spec.embodied / spec.lifetime,
         )
         if spec.id in size_grid:
             levels = tuple(sorted(size_grid[spec.id]))
@@ -607,17 +605,14 @@ def _peak_precheck(building, cat, grid, alive, candidates, allow_plant_change):
         f = variant_delta_factor(cat, building.refurb_state.variant_index, ir, "space_heat")
         best = min(best, f)
     peak_kw = float(arr.max()) * best / h
-    supply = sum(
-        inst.size for inst in alive
-        if cat.tech(inst.tech_id).output == "heat"
-        and cat.tech(inst.tech_id).kind == KIND_CONVERTER
-        and cat.tech(inst.tech_id).carrier != "solar")
+    def firm_heat(spec: TechnologySpec) -> bool:
+        return spec.is_heat_converter and spec.carrier != "solar"
+
+    supply = sum(inst.size for inst in alive if firm_heat(cat.tech(inst.tech_id)))
     if allow_plant_change:
         supply += sum(
             (spec.max_size if math.isfinite(spec.max_size) else 1e6)
-            for spec in candidates
-            if spec.output == "heat" and spec.kind == KIND_CONVERTER
-            and spec.carrier != "solar")
+            for spec in candidates if firm_heat(spec))
     if supply + 1e-9 < peak_kw:
         raise InfeasibleBuildingError(
             building.id,

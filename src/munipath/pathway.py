@@ -15,12 +15,12 @@ runs in a process pool when more than one worker is allowed.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .catalog import Catalog, variant_delta_factor
+from .docio import dumps
 from .model import (
     BuildingSolution,
     InfeasibleBuildingError,
@@ -63,19 +63,7 @@ class Measure:
     reduction_score: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "building_id": self.building_id,
-            "kind": self.kind,
-            "mandatory": self.mandatory,
-            "decision_year": self.decision_year,
-            "implementation_year": self.implementation_year,
-            "description": self.description,
-            "variant_index": self.variant_index,
-            "new_components": list(self.new_components),
-            "installs": [[t, s] for t, s in self.installs],
-            "drops": [[t, s] for t, s in self.drops],
-            "reduction_score": self.reduction_score,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -127,7 +115,7 @@ class TransformationPath:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
+        return dumps(self.to_dict())
 
     def verify_chain(self) -> list[str]:
         """Cross-stage consistency: committed changes must materialize.
@@ -233,15 +221,6 @@ def _solution_dict(sol: BuildingSolution) -> dict:
     }
 
 
-def save_pathway(path_obj: TransformationPath, sink) -> None:
-    payload = path_obj.to_json()
-    if hasattr(sink, "write"):
-        sink.write(payload)
-    else:
-        with open(sink, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-
-
 # ---------------------------------------------------------------------------
 # Stage engine
 
@@ -292,18 +271,13 @@ def _solve_all(tasks: list[_Task], workers: int) -> list[_BuildingOutcome]:
         return list(pool.map(_solve_one, tasks))
 
 
-def _heat_conversion_tech(cat: Catalog, tech_id: str) -> bool:
-    spec = cat.tech(tech_id)
-    return spec.output == "heat" and spec.kind == "converter"
-
-
 def _budgeted_kinds(cat: Catalog, sol: BuildingSolution) -> set[str]:
     """Which rate-capped measure classes this plan would consume."""
     kinds: set[str] = set()
     if sol.new_components:
         kinds.add("renovation")
-    if any(_heat_conversion_tech(cat, t) for t, _ in sol.installed) \
-            or any(_heat_conversion_tech(cat, i.tech_id) for i in sol.dropped):
+    if any(cat.tech(t).is_heat_converter for t, _ in sol.installed) \
+            or any(cat.tech(i.tech_id).is_heat_converter for i in sol.dropped):
         kinds.add("conversion")
     return kinds
 
@@ -331,9 +305,9 @@ def _split_measures(building: Building, cat: Catalog, sol: BuildingSolution,
             reduction_score=score,
         ))
     heat_installs = tuple((t, s) for t, s in sol.installed
-                          if _heat_conversion_tech(cat, t))
+                          if cat.tech(t).is_heat_converter)
     heat_drops = tuple((i.tech_id, i.size) for i in sol.dropped
-                       if _heat_conversion_tech(cat, i.tech_id))
+                       if cat.tech(i.tech_id).is_heat_converter)
     other_installs = tuple((t, s) for t, s in sol.installed if (t, s) not in set(heat_installs))
     other_drops = tuple((i.tech_id, i.size) for i in sol.dropped
                         if (i.tech_id, i.size) not in set(heat_drops))
@@ -537,7 +511,7 @@ def plan_stage(
         b = by_id[bid]
         sol = solutions[bid]
         expired = _expired_instances(b, cat, target_year)
-        heat_expired = [i for i in expired if _heat_conversion_tech(cat, i.tech_id)]
+        heat_expired = [i for i in expired if cat.tech(i.tech_id).is_heat_converter]
         if heat_expired:
             building_expiry[bid] = min(
                 i.install_year + cat.tech(i.tech_id).lifetime for i in heat_expired)

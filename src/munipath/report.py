@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 
 from .catalog import Catalog, CostBreakdown
+from .docio import dumps, write_text
 from .pathway import StageResult, TransformationPath
 from .twin import Building, HEAT_VECTORS
 
@@ -73,8 +73,7 @@ def primary_heating(building: Building, cat: Catalog) -> str:
     """
     best: tuple[float, str] | None = None
     for inst in building.installed:
-        spec = cat.tech(inst.tech_id)
-        if spec.output != "heat" or spec.kind != "converter":
+        if not cat.tech(inst.tech_id).is_heat_converter:
             continue
         key = (-inst.size, inst.tech_id)
         if best is None or key < best:
@@ -191,11 +190,11 @@ def export_csv(reports: list[StageReport], sink=None) -> str:
                 writer.writerow([rep.stage_year, metric, key, d[metric][key]])
     text = buf.getvalue()
     if sink is not None:
-        _write_text(sink, text)
+        write_text(sink, text)
     return text
 
 
-def export_geojson(stage: StageResult, cat: Catalog, sink=None) -> str:
+def stage_geojson(stage: StageResult, cat: Catalog) -> dict:
     """RFC 7946 FeatureCollection of the stage's building stock.
 
     One Point per building with its committed state and, where solved,
@@ -229,23 +228,19 @@ def export_geojson(stage: StageResult, cat: Catalog, sink=None) -> str:
                          "coordinates": [b.location[0], b.location[1]]},
             "properties": props,
         })
-    doc = {
+    return {
         "type": "FeatureCollection",
         "features": features,
         "stage_year": stage.target_year,
     }
-    text = json.dumps(doc, sort_keys=True, indent=1)
+
+
+def export_geojson(stage: StageResult, cat: Catalog, sink=None) -> str:
+    """``stage_geojson`` as text, also written to ``sink`` if one is given."""
+    text = dumps(stage_geojson(stage, cat))
     if sink is not None:
-        _write_text(sink, text)
+        write_text(sink, text)
     return text
-
-
-def _write_text(sink, text: str) -> None:
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        with open(sink, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def path_document(path_obj: TransformationPath, cat: Catalog) -> dict:
@@ -254,7 +249,7 @@ def path_document(path_obj: TransformationPath, cat: Catalog) -> dict:
     doc = path_obj.to_dict()
     for st, st_dict in zip(path_obj.stages, doc["stages"]):
         st_dict["report"] = aggregate_stage(st, cat).to_dict()
-        st_dict["geojson"] = json.loads(export_geojson(st, cat))
+        st_dict["geojson"] = stage_geojson(st, cat)
     return doc
 
 
@@ -265,5 +260,5 @@ def reports_from_document(doc: dict) -> list[StageReport]:
 def geojson_from_document(doc: dict, stage_year: int) -> str:
     for sd in doc["stages"]:
         if sd["target_year"] == stage_year:
-            return json.dumps(sd["geojson"], sort_keys=True, indent=1)
+            return dumps(sd["geojson"])
     raise KeyError(stage_year)

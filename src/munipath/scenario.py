@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 import numpy as np
+
+from .docio import dumps, read_text, write_text
 
 
 class ScenarioError(Exception):
@@ -81,17 +82,7 @@ class ScenarioFrame:
         return self._interp(self.co2_price, year)
 
     def to_dict(self) -> dict:
-        return {
-            "meta": dict(self.meta),
-            "years": list(self.years),
-            "prices": {k: list(v) for k, v in sorted(self.prices.items())},
-            "feed_in_tariff": list(self.feed_in_tariff),
-            "emission_factors": {k: list(v) for k, v in sorted(self.emission_factors.items())},
-            "co2_price": list(self.co2_price),
-            "renovation_rate_cap": self.renovation_rate_cap,
-            "conversion_rate_cap": self.conversion_rate_cap,
-            "max_parallel_retrofits": self.max_parallel_retrofits,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioFrame":
@@ -117,23 +108,16 @@ class ScenarioFrame:
 
 
 def load_scenario(source) -> ScenarioFrame:
-    """Read a scenario from a JSON path, file object, or string."""
+    """Read a scenario from any source ``docio.read_text`` takes."""
     try:
-        if isinstance(source, (str, os.PathLike)) and not str(source).lstrip().startswith("{"):
-            with open(source, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        elif isinstance(source, str):
-            doc = json.loads(source)
-        else:
-            doc = json.load(source)
+        doc = json.loads(read_text(source)[0])
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
     return ScenarioFrame.from_dict(doc)
 
 
-def save_scenario(frame: ScenarioFrame, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(frame.to_dict(), fh, sort_keys=True, indent=1)
+def save_scenario(frame: ScenarioFrame, sink) -> None:
+    write_text(sink, dumps(frame.to_dict()))
 
 
 def retrofit_budgets(frame: ScenarioFrame, n_buildings: int,

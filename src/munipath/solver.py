@@ -40,6 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .docio import dumps, read_text, write_text
+
 INF = math.inf
 
 # The reference branch and bound enumerates by bisection; beyond this many
@@ -805,7 +807,7 @@ def _wrap(line: str, indent: str = "   ") -> str:
     return ("\n" + indent).join(lines)
 
 
-def write_lp_file(request: SolveRequest, path) -> None:
+def write_lp_file(request: SolveRequest, sink) -> None:
     """Serialize a request as a CPLEX-style LP file.
 
     Range rows are split into __lo/__hi pairs; a header comment preserves
@@ -868,12 +870,7 @@ def write_lp_file(request: SolveRequest, path) -> None:
         for nm in generals:
             lines.append(f" {nm}")
     lines.append("End")
-    payload = "\n".join(lines) + "\n"
-    if isinstance(path, (str, os.PathLike)):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        path.write(payload)
+    write_text(sink, "\n".join(lines) + "\n")
 
 
 _SECTION_RE = re.compile(
@@ -941,13 +938,7 @@ def _num_of(kind, val) -> float:
 
 def read_lp_file(source) -> SolveRequest:
     """Parse the LP dialect written by write_lp_file (plus common variants)."""
-    if isinstance(source, (str, os.PathLike)) and "\n" not in str(source):
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = source.read()
+    text, _ = read_text(source)
 
     name = "model"
     offset = 0.0
@@ -1165,7 +1156,7 @@ def _rhs_value(tokens) -> float:
 # Result file exchange
 
 
-def write_result_file(outcome: SolveOutcome, request: SolveRequest, path) -> None:
+def write_result_file(outcome: SolveOutcome, request: SolveRequest, sink) -> None:
     """JSON result document keyed by LP-safe variable names."""
     doc: dict = {
         "status": outcome.status.value,
@@ -1177,23 +1168,12 @@ def write_result_file(outcome: SolveOutcome, request: SolveRequest, path) -> Non
     if outcome.x is not None:
         for nm, v in zip(lp_var_names(request), outcome.x):
             doc["values"][nm] = float(v)
-    payload = json.dumps(doc, sort_keys=True, indent=1)
-    if isinstance(path, (str, os.PathLike)):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        path.write(payload)
+    write_text(sink, dumps(doc))
 
 
 def read_result_file(source, request: SolveRequest) -> SolveOutcome:
     """Read a result document and map values back onto request variables."""
-    if isinstance(source, (str, os.PathLike)) and not str(source).lstrip().startswith("{"):
-        with open(source, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    elif isinstance(source, str):
-        doc = json.loads(source)
-    else:
-        doc = json.load(source)
+    doc = json.loads(read_text(source)[0])
     try:
         status = SolveStatus(str(doc["status"]).lower())
     except ValueError:

@@ -9,13 +9,14 @@ invariants once and everything downstream may share objects freely.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
+
+from .docio import dumps, read_text, write_text
 
 COMPONENTS = ("roof", "wall", "window", "cellar")
 VECTORS = ("electricity", "space_heat", "hot_water", "cooling")
@@ -205,7 +206,7 @@ class RefurbState:
         return frozenset(name for name in COMPONENTS if getattr(self, name))
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in COMPONENTS}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -371,10 +372,13 @@ def _validate_building(b: Building, grid: TimeGrid) -> None:
 def load_twin(source, base_dir: str | None = None) -> EnergyTwin:
     """Parse and validate a twin document.
 
-    ``source`` may be a path, a file-like object, bytes, or str content.
-    Sidecar CSV profile references resolve relative to the document path.
+    ``source`` is any form ``docio.read_text`` takes.  Sidecar CSV profile
+    references resolve relative to the document path.
     """
-    text, inferred_dir = _read_source(source)
+    try:
+        text, inferred_dir = read_text(source)
+    except OSError as exc:
+        raise TwinParseError(f"cannot read twin document: {exc}") from exc
     if base_dir is None:
         base_dir = inferred_dir
     try:
@@ -403,37 +407,7 @@ def load_twin(source, base_dir: str | None = None) -> EnergyTwin:
 
 def save_twin(twin: EnergyTwin, sink) -> None:
     """Write the twin as a document that load_twin reads back identically."""
-    payload = json.dumps(twin.to_dict(), sort_keys=True, indent=1)
-    _write_sink(sink, payload)
-
-
-def _read_source(source) -> tuple[str, str | None]:
-    if isinstance(source, (str, os.PathLike)) and not str(source).lstrip().startswith("{"):
-        path = os.fspath(source)
-        try:
-            with open(path, "rb") as fh:
-                return fh.read().decode("utf-8"), os.path.dirname(os.path.abspath(path))
-        except OSError as exc:
-            raise TwinParseError(f"cannot read {path!r}: {exc}") from exc
-    if isinstance(source, bytes):
-        return source.decode("utf-8"), None
-    if isinstance(source, str):
-        return source, None
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    name = getattr(source, "name", None)
-    return data, os.path.dirname(os.path.abspath(name)) if isinstance(name, str) else None
-
-
-def _write_sink(sink, payload: str) -> None:
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    elif isinstance(sink, io.TextIOBase):
-        sink.write(payload)
-    else:
-        sink.write(payload.encode("utf-8"))
+    write_text(sink, dumps(twin.to_dict()))
 
 
 # ---------------------------------------------------------------------------

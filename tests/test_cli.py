@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from munipath import cli, pathway
 from munipath.catalog import default_catalog
 from munipath.twin import load_twin
 
@@ -211,6 +213,41 @@ def test_pathway_non_positive_time_limit_exits_2(twin2, tmp_path, limit):
     assert res.returncode == 2
     assert "MUNIPATH_TIME_LIMIT" in res.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_time_limit_flag_wins_over_env(twin2, tmp_path):
+    res = run_cli("pathway", str(twin2), "--periods", "2023,2030",
+                  "--out-dir", str(tmp_path / "out"), "--workers", "1",
+                  "--time-limit", "120", env_extra={"MUNIPATH_TIME_LIMIT": "soon"})
+    assert res.returncode == 0, res.stderr
+
+
+class _BrokenPool:
+    """Stand-in for ProcessPoolExecutor whose workers have all died."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        raise BrokenProcessPool("a worker process terminated abruptly")
+
+
+def test_broken_worker_pool_exits_3(twin2, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(pathway, "ProcessPoolExecutor", _BrokenPool)
+    monkeypatch.delenv("MUNIPATH_SOLVER", raising=False)
+    monkeypatch.delenv("MUNIPATH_TIME_LIMIT", raising=False)
+    code = cli.main(["pathway", str(twin2), "--periods", "2023,2030",
+                     "--out-dir", str(tmp_path / "out"), "--workers", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "solver failure" in err
+    assert "Traceback" not in err
 
 
 def test_solver_error_exits_3(twin2, tmp_path):

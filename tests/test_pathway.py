@@ -17,7 +17,6 @@ from munipath.pathway import (
     PathwayError,
     _assign_years,
     _commit,
-    _heat_conversion_tech,
     _split_measures,
     _stage_dict,
     plan_pathway,
@@ -123,9 +122,9 @@ def test_measures_consistent_with_solutions(path6, cat):
             assert mm.new_components == sol.new_components
             assert mm.variant_index == sol.variant_index
         elif mm.kind == "conversion":
-            assert all(_heat_conversion_tech(cat, t) for t, _ in mm.installs)
+            assert all(cat.tech(t).is_heat_converter for t, _ in mm.installs)
         else:
-            assert all(not _heat_conversion_tech(cat, t) for t, _ in mm.installs)
+            assert all(not cat.tech(t).is_heat_converter for t, _ in mm.installs)
         assert 2023 < mm.implementation_year <= 2033
 
 
@@ -360,7 +359,7 @@ def _expiring_heating_twin(cat):
         installed = tuple(
             TechnologyInstance(i.tech_id, i.size,
                                2028 - cat.tech(i.tech_id).lifetime)
-            if _heat_conversion_tech(cat, i.tech_id) else i
+            if cat.tech(i.tech_id).is_heat_converter else i
             for i in b.installed)
         buildings.append(dataclasses.replace(b, installed=installed))
     return dataclasses.replace(twin, buildings=tuple(buildings))

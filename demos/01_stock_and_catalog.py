@@ -6,8 +6,6 @@ Builds the seeded demo town, pokes at demand profiles and installed
 plant, and shows the cost arithmetic the optimizer runs on.
 """
 
-import numpy as np
-
 from munipath import default_catalog, make_fixture_twin
 from munipath.catalog import annuity_factor, residual_value
 from munipath.twin import admissible_refurb_variants, peak_demand

@@ -55,11 +55,7 @@ from .solver import (  # noqa: F401
     SolveOutcome,
     SolveRequest,
     SolveStatus,
-    read_lp_file,
-    read_result_file,
     solve,
-    write_lp_file,
-    write_result_file,
 )
 from .twin import (  # noqa: F401
     Building,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pathlib
 import sys
 from concurrent.futures import BrokenExecutor
 
@@ -23,7 +24,7 @@ from .pathway import PathwayError, plan_pathway
 from .report import geojson_from_document, reports_from_document
 from .report import export_csv, path_document
 from .scenario import ScenarioError, default_scenario, load_scenario
-from .solver import SolverError
+from .solver import BACKENDS, SolverError
 from .twin import TimeGrid, TwinError, load_twin, save_twin
 
 EXIT_OK = 0
@@ -41,12 +42,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a twin (and optional catalog/scenario)")
-    p.add_argument("twin", help="twin JSON document")
+    p.add_argument("twin", type=pathlib.Path, help="twin JSON document")
     _add_data_args(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("pathway", help="plan a transformation pathway")
-    p.add_argument("twin", help="twin JSON document")
+    p.add_argument("twin", type=pathlib.Path, help="twin JSON document")
     _add_data_args(p)
     p.add_argument("--periods", required=True,
                    help="comma-separated stage years, first is the status quo "
@@ -54,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".", help="output directory (default: .)")
     p.add_argument("--objective", default="cost",
                    choices=("cost", "emission", "weighted"))
-    p.add_argument("--backend", default=None, type=_backend_arg,
-                   help="solver backend (highs, reference, external:<cmd>); "
+    p.add_argument("--backend", default=None, choices=BACKENDS,
+                   help=f"solver backend ({', '.join(BACKENDS)}); "
                         "MUNIPATH_SOLVER applies only when this is not given")
     p.add_argument("--mip-gap", type=float, default=1e-4,
                    help="relative MIP gap (default 1e-4)")
@@ -67,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pathway)
 
     p = sub.add_parser("report", help="regenerate CSV/GeoJSON from a stored pathway")
-    p.add_argument("document", help="pathway JSON document written by `pathway`")
+    p.add_argument("document", type=pathlib.Path,
+                   help="pathway JSON document written by `pathway`")
     p.add_argument("--out-dir", default=".", help="output directory (default: .)")
     p.add_argument("--year", type=int, default=None,
                    help="emit only this stage year's files")
@@ -85,18 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--catalog", default=None,
+    p.add_argument("--catalog", type=pathlib.Path, default=None,
                    help="technology catalog JSON (default: built-in)")
-    p.add_argument("--scenario", default=None,
+    p.add_argument("--scenario", type=pathlib.Path, default=None,
                    help="scenario frame JSON (default: built-in)")
-
-
-def _backend_arg(value: str) -> str:
-    if value in ("highs", "reference") or (
-            value.startswith("external:") and value[len("external:"):].strip()):
-        return value
-    raise argparse.ArgumentTypeError(
-        f"unknown backend {value!r} (expected highs, reference or external:<cmd>)")
 
 
 def _positive_seconds(value: str) -> float:
@@ -117,7 +111,7 @@ def _positive_int(value: str) -> int:
     raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {value!r}")
 
 
-def _require_file(path: str) -> None:
+def _require_file(path: pathlib.Path) -> None:
     if not os.path.isfile(path):
         raise FileNotFoundError(f"no such file: {path}")
 

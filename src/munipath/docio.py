@@ -3,7 +3,7 @@
 A *source* is a path (``str`` or ``os.PathLike``); an open file, text or
 binary, whose ``name`` (if it is a path) gives the base directory; ``bytes``;
 or a ``str`` holding the document itself, recognised by starting with ``{``
-after whitespace or by holding a newline.
+after whitespace.  Every other ``str`` is a path.
 
 A *sink* is a path, a binary stream (it gets UTF-8 bytes), or anything else
 with ``write`` (it gets text).  The bytes are the same for every sink.
@@ -26,7 +26,7 @@ def read_text(source) -> tuple[str, str | None]:
     against (None when the source has no path)."""
     if isinstance(source, bytes):
         return source.decode("utf-8"), None
-    if isinstance(source, str) and (source.lstrip().startswith("{") or "\n" in source):
+    if isinstance(source, str) and source.lstrip().startswith("{"):
         return source, None
     if isinstance(source, (str, os.PathLike)):
         path = os.fspath(source)

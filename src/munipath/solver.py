@@ -1,6 +1,6 @@
-"""Solver abstraction: model builder, backends, and file exchange.
+"""Solver abstraction: model builder and backends.
 
-Three backends sit behind one request type:
+Two backends sit behind one request type:
 
 * ``highs``: scipy's interface to the HiGHS MILP solver, the default.
   It runs with the RENS, RINS and feasibility-jump heuristics switched
@@ -17,8 +17,6 @@ Three backends sit behind one request type:
 * ``reference``: a self-contained dense two-phase primal simplex plus
   branch and bound.  Slow but transparent; every LP solve is certified
   against its dual, so it doubles as the trust anchor in tests.
-* ``external:<command>``: writes an LP file, runs the command with the
-  LP path and a result path as arguments, reads the JSON result back.
 
 All problems are minimization.  Row activities are two-sided
 (``row_lb <= A x <= row_ub``), variable bounds likewise.
@@ -27,20 +25,13 @@ All problems are minimization.  Row activities are two-sided
 from __future__ import annotations
 
 import enum
-import json
 import math
 import os
-import re
-import shlex
-import subprocess
-import tempfile
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .docio import dumps, read_text, write_text
 
 INF = math.inf
 
@@ -52,6 +43,9 @@ DUALITY_TOL = 1e-7
 
 # Relative MIP gap when the request's params give none.
 DEFAULT_MIP_GAP = 1e-6
+
+# Every name ``solve`` accepts as a backend.
+BACKENDS = ("highs", "reference")
 
 
 class SolverError(Exception):
@@ -265,8 +259,6 @@ def solve(request: SolveRequest, backend: str | None = None) -> SolveOutcome:
         return _solve_highs(request)
     if backend == "reference":
         return _solve_reference(request)
-    if backend.startswith("external:"):
-        return _solve_external(request, backend[len("external:"):])
     raise SolverError(f"unknown solver backend {backend!r}")
 
 
@@ -748,485 +740,3 @@ def _branch_and_bound(request: SolveRequest, int_idx: np.ndarray, t0: float) -> 
         bound=best_bound, gap=max(0.0, gap), wall_time_s=wall, backend="reference",
     )
 
-
-# ---------------------------------------------------------------------------
-# LP file exchange (CPLEX LP dialect)
-
-_LP_UNSAFE = re.compile(r"[^A-Za-z0-9_]")
-_NUM_FMT = "%.12g"
-
-
-def lp_var_names(request: SolveRequest) -> list[str]:
-    """Deterministic LP-safe variable names for a request."""
-    return _sanitize_names(request.var_names, "v")
-
-
-def _sanitize_names(names, prefix) -> list[str]:
-    out: list[str] = []
-    seen: set[str] = set()
-    for i, raw in enumerate(names):
-        s = _LP_UNSAFE.sub("_", raw) or prefix
-        if (not s[0].isalpha() or re.match(r"^[eE][0-9.]", s)
-                or re.fullmatch(r"(?i)inf(inity)?", s)):
-            s = f"{prefix}_{s}"
-        if s in seen:
-            s = f"{s}__{i}"
-        while s in seen:  # the suffixed name may be taken too
-            s += "_"
-        seen.add(s)
-        out.append(s)
-    return out
-
-
-def _fmt_terms(names, cols, coefs) -> str:
-    parts: list[str] = []
-    for col, coef in zip(cols, coefs):
-        mag = _NUM_FMT % abs(coef)
-        sign = "-" if coef < 0 else "+"
-        if not parts:
-            parts.append(f"{'-' if coef < 0 else ''}{mag} {names[col]}")
-        else:
-            parts.append(f"{sign} {mag} {names[col]}")
-    return " ".join(parts) if parts else "0 " + names[0]
-
-
-def _wrap(line: str, indent: str = "   ") -> str:
-    words = line.split(" ")
-    lines: list[str] = []
-    cur: list[str] = []
-    width = 0
-    for w in words:
-        if cur and width + len(w) + 1 > 76:
-            lines.append(" ".join(cur))
-            cur, width = [w], len(w)
-        else:
-            cur.append(w)
-            width += len(w) + 1
-    if cur:
-        lines.append(" ".join(cur))
-    return ("\n" + indent).join(lines)
-
-
-def write_lp_file(request: SolveRequest, sink) -> None:
-    """Serialize a request as a CPLEX-style LP file.
-
-    Range rows are split into __lo/__hi pairs; a header comment preserves
-    the variable order and objective offset so our reader round-trips.
-    """
-    if request.n_vars == 0:
-        raise SolverError("cannot write an LP file without variables")
-    vnames = lp_var_names(request)
-    rnames = _sanitize_names(request.row_names, "c")
-    # rows grouped by row index
-    by_row: dict[int, list[tuple[int, float]]] = {}
-    for r, c, v in zip(request.a_rows, request.a_cols, request.a_vals):
-        by_row.setdefault(int(r), []).append((int(c), float(v)))
-    lines = [
-        f"\\ model: {request.name}",
-        f"\\ vars: {' '.join(vnames)}",
-        f"\\ objective_offset: {_NUM_FMT % request.obj_offset}",
-        "Minimize",
-    ]
-    obj_cols = [j for j in range(request.n_vars) if request.obj[j] != 0.0]
-    obj_expr = _fmt_terms(vnames, obj_cols, [float(request.obj[j]) for j in obj_cols])
-    lines.append(" " + _wrap(f"obj: {obj_expr}"))
-    lines.append("Subject To")
-    for i in range(request.n_rows):
-        terms = sorted(by_row.get(i, []))
-        lo, hi = float(request.row_lb[i]), float(request.row_ub[i])
-        if not terms:
-            if math.isfinite(lo) or math.isfinite(hi):
-                if not (lo <= 0.0 <= hi):
-                    raise SolverError(f"row {request.row_names[i]!r} has bounds but no terms")
-            continue
-        cols = [t[0] for t in terms]
-        coefs = [t[1] for t in terms]
-        expr = _fmt_terms(vnames, cols, coefs)
-        if math.isfinite(lo) and lo == hi:
-            lines.append(" " + _wrap(f"{rnames[i]}: {expr} = {_NUM_FMT % lo}"))
-            continue
-        if math.isfinite(lo) and math.isfinite(hi):
-            lines.append(" " + _wrap(f"{rnames[i]}__lo: {expr} >= {_NUM_FMT % lo}"))
-            lines.append(" " + _wrap(f"{rnames[i]}__hi: {expr} <= {_NUM_FMT % hi}"))
-            continue
-        if math.isfinite(lo):
-            lines.append(" " + _wrap(f"{rnames[i]}: {expr} >= {_NUM_FMT % lo}"))
-        elif math.isfinite(hi):
-            lines.append(" " + _wrap(f"{rnames[i]}: {expr} <= {_NUM_FMT % hi}"))
-    lines.append("Bounds")
-    for j, nm in enumerate(vnames):
-        lo, hi = float(request.var_lb[j]), float(request.var_ub[j])
-        if not math.isfinite(lo) and not math.isfinite(hi):
-            lines.append(f" {nm} free")
-        elif math.isfinite(lo) and math.isfinite(hi):
-            lines.append(f" {_NUM_FMT % lo} <= {nm} <= {_NUM_FMT % hi}")
-        elif math.isfinite(lo):
-            lines.append(f" {nm} >= {_NUM_FMT % lo}")
-        else:
-            lines.append(f" -infinity <= {nm} <= {_NUM_FMT % hi}")
-    generals = [vnames[j] for j in range(request.n_vars) if request.integrality[j]]
-    if generals:
-        lines.append("General")
-        for nm in generals:
-            lines.append(f" {nm}")
-    lines.append("End")
-    write_text(sink, "\n".join(lines) + "\n")
-
-
-_SECTION_RE = re.compile(
-    r"^\s*(minimize|minimum|min|maximize|maximum|max|subject\s+to|such\s+that|st|s\.t\.|"
-    r"bounds?|generals?|gen|binar(?:y|ies)|bin|end)\s*$",
-    re.IGNORECASE,
-)
-_TOKEN_RE = re.compile(
-    r"(?P<rel><=|>=|=)|(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|"
-    r"(?P<inf>[+-]?(?:infinity|inf)(?![A-Za-z0-9_]))|(?P<sign>[+-])|"
-    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<label>:)"
-)
-
-
-def _parse_linear_expr(tokens, names_index, register):
-    """Consume (coef, var) terms from a token list; returns dict col->coef."""
-    terms: dict[int, float] = {}
-    sign = 1.0
-    pending: float | None = None
-    for kind, val in tokens:
-        if kind == "sign":
-            if pending is not None:
-                raise SolverError("dangling coefficient in LP expression")
-            sign *= 1.0 if val == "+" else -1.0
-        elif kind == "num":
-            pending = (pending if pending is not None else 1.0) * float(val)
-        elif kind == "name":
-            col = names_index.get(val)
-            if col is None:
-                col = register(val)
-            coef = sign * (pending if pending is not None else 1.0)
-            terms[col] = terms.get(col, 0.0) + coef
-            sign, pending = 1.0, None
-        else:
-            raise SolverError(f"unexpected token {val!r} in LP expression")
-    if pending is not None:
-        raise SolverError("trailing number in LP expression")
-    return terms
-
-
-def _tokenize(text: str):
-    out = []
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        between = text[pos:m.start()]
-        if between.strip():
-            raise SolverError(f"cannot tokenize LP fragment {between.strip()!r}")
-        pos = m.end()
-        for kind in ("rel", "num", "inf", "sign", "name", "label"):
-            val = m.group(kind)
-            if val is not None:
-                out.append((kind, val))
-                break
-    if text[pos:].strip():
-        raise SolverError(f"cannot tokenize LP fragment {text[pos:].strip()!r}")
-    return out
-
-
-def _num_of(kind, val) -> float:
-    if kind == "num":
-        return float(val)
-    v = val.lower().lstrip("+")
-    return -INF if v.startswith("-") else INF
-
-
-def read_lp_file(source) -> SolveRequest:
-    """Parse the LP dialect written by write_lp_file (plus common variants)."""
-    text, _ = read_text(source)
-
-    name = "model"
-    offset = 0.0
-    preordered: list[str] = []
-    body_lines: list[str] = []
-    for line in text.splitlines():
-        if line.lstrip().startswith("\\"):
-            comment = line.lstrip()[1:].strip()
-            if comment.startswith("model:"):
-                name = comment[len("model:"):].strip()
-            elif comment.startswith("vars:"):
-                preordered = comment[len("vars:"):].split()
-            elif comment.startswith("objective_offset:"):
-                offset = float(comment[len("objective_offset:"):].strip())
-            continue
-        body_lines.append(line)
-
-    sections: dict[str, list[str]] = {}
-    current = None
-    for line in body_lines:
-        m = _SECTION_RE.match(line)
-        if m:
-            key = re.sub(r"\s+", " ", m.group(1).lower())
-            if key in ("minimize", "minimum", "min"):
-                current = "objective"
-            elif key in ("maximize", "maximum", "max"):
-                raise SolverError("maximization LP files are not supported")
-            elif key in ("subject to", "such that", "st", "s.t."):
-                current = "rows"
-            elif key in ("bounds", "bound"):
-                current = "bounds"
-            elif key in ("general", "generals", "gen"):
-                current = "general"
-            elif key in ("binary", "binaries", "bin"):
-                current = "binary"
-            elif key == "end":
-                current = None
-            sections.setdefault(current or "end", [])
-            continue
-        if current:
-            sections.setdefault(current, []).append(line)
-
-    names_index: dict[str, int] = {}
-    var_names: list[str] = []
-
-    def register(nm: str) -> int:
-        idx = len(var_names)
-        names_index[nm] = idx
-        var_names.append(nm)
-        return idx
-
-    for nm in preordered:
-        if nm not in names_index:
-            register(nm)
-
-    def split_label(tokens):
-        # label is "name :" prefix
-        if len(tokens) >= 2 and tokens[0][0] == "name" and tokens[1][0] == "label":
-            return tokens[0][1], tokens[2:]
-        return None, tokens
-
-    # objective
-    obj_terms: dict[int, float] = {}
-    obj_text = " ".join(sections.get("objective", []))
-    tokens = _tokenize(obj_text)
-    _, tokens = split_label(tokens)
-    if tokens:
-        obj_terms = _parse_linear_expr(tokens, names_index, register)
-
-    # constraints
-    rows: list[tuple[str, dict[int, float], float, float]] = []
-    row_text = " ".join(sections.get("rows", []))
-    tokens = _tokenize(row_text)
-    # split statements at label tokens
-    statements: list[list[tuple[str, str]]] = []
-    i = 0
-    while i < len(tokens):
-        if (i + 1 < len(tokens) and tokens[i][0] == "name" and tokens[i + 1][0] == "label"):
-            statements.append([])
-        if not statements:
-            statements.append([])
-        statements[-1].append(tokens[i])
-        i += 1
-    for stmt in statements:
-        if not stmt:
-            continue
-        label, rest = split_label(stmt)
-        rel_positions = [k for k, (kind, _) in enumerate(rest) if kind == "rel"]
-        if not rel_positions:
-            raise SolverError(f"constraint {label!r} lacks a relation")
-        if len(rel_positions) == 1:
-            k = rel_positions[0]
-            expr = _parse_linear_expr(rest[:k], names_index, register)
-            rel = rest[k][1]
-            rhs_tokens = rest[k + 1:]
-            rhs = _rhs_value(rhs_tokens)
-            if rel == "<=":
-                lo, hi = -INF, rhs
-            elif rel == ">=":
-                lo, hi = rhs, INF
-            else:
-                lo = hi = rhs
-        else:
-            k1, k2 = rel_positions[0], rel_positions[1]
-            lo = _rhs_value(rest[:k1])
-            expr = _parse_linear_expr(rest[k1 + 1:k2], names_index, register)
-            hi = _rhs_value(rest[k2 + 1:])
-        rows.append((label or f"c{len(rows)}", expr, lo, hi))
-
-    # bounds
-    explicit_bounds: dict[int, tuple[float, float]] = {}
-    for line in sections.get("bounds", []):
-        if not line.strip():
-            continue
-        tokens = _tokenize(line)
-        if len(tokens) == 2 and tokens[0][0] == "name" and tokens[1] == ("name", "free"):
-            j = names_index.get(tokens[0][1])
-            if j is None:
-                j = register(tokens[0][1])
-            explicit_bounds[j] = (-INF, INF)
-            continue
-        rel_positions = [k for k, (kind, _) in enumerate(tokens) if kind == "rel"]
-        if len(rel_positions) == 1:
-            k = rel_positions[0]
-            left, right = tokens[:k], tokens[k + 1:]
-            rel = tokens[k][1]
-            if len(left) == 1 and left[0][0] == "name":
-                j = names_index.get(left[0][1])
-                if j is None:
-                    j = register(left[0][1])
-                val = _rhs_value(right)
-                cur = explicit_bounds.get(j, (0.0, INF))
-                if rel == ">=":
-                    explicit_bounds[j] = (val, cur[1])
-                elif rel == "<=":
-                    explicit_bounds[j] = (cur[0], val)
-                else:
-                    explicit_bounds[j] = (val, val)
-            else:
-                raise SolverError(f"unsupported bounds line {line!r}")
-        elif len(rel_positions) == 2:
-            k1, k2 = rel_positions
-            lo = _rhs_value(tokens[:k1])
-            mid = tokens[k1 + 1:k2]
-            hi = _rhs_value(tokens[k2 + 1:])
-            if len(mid) != 1 or mid[0][0] != "name":
-                raise SolverError(f"unsupported bounds line {line!r}")
-            j = names_index.get(mid[0][1])
-            if j is None:
-                j = register(mid[0][1])
-            explicit_bounds[j] = (lo, hi)
-        else:
-            raise SolverError(f"unsupported bounds line {line!r}")
-
-    integer_names = set()
-    binary_names = set()
-    for line in sections.get("general", []):
-        integer_names.update(line.split())
-    for line in sections.get("binary", []):
-        binary_names.update(line.split())
-    for nm in sorted(integer_names | binary_names):
-        if nm not in names_index:
-            register(nm)
-
-    n = len(var_names)
-    obj = np.zeros(n)
-    for j, coef in obj_terms.items():
-        obj[j] = coef
-    var_lb = np.zeros(n)
-    var_ub = np.full(n, INF)
-    for j in range(n):
-        if j in explicit_bounds:
-            var_lb[j], var_ub[j] = explicit_bounds[j]
-        elif var_names[j] in binary_names:
-            var_lb[j], var_ub[j] = 0.0, 1.0
-    integrality = np.array(
-        [nm in integer_names or nm in binary_names for nm in var_names], dtype=bool)
-
-    a_rows, a_cols, a_vals = [], [], []
-    row_lb, row_ub, row_names = [], [], []
-    for ridx, (label, expr, lo, hi) in enumerate(rows):
-        row_names.append(label)
-        row_lb.append(lo)
-        row_ub.append(hi)
-        for j, coef in sorted(expr.items()):
-            a_rows.append(ridx)
-            a_cols.append(j)
-            a_vals.append(coef)
-
-    return SolveRequest(
-        obj=obj, obj_offset=offset,
-        a_rows=np.array(a_rows, dtype=np.int64),
-        a_cols=np.array(a_cols, dtype=np.int64),
-        a_vals=np.array(a_vals, dtype=float),
-        row_lb=np.array(row_lb, dtype=float),
-        row_ub=np.array(row_ub, dtype=float),
-        var_lb=var_lb, var_ub=var_ub, integrality=integrality,
-        var_names=tuple(var_names), row_names=tuple(row_names), name=name,
-    )
-
-
-def _rhs_value(tokens) -> float:
-    vals = [t for t in tokens if t[0] in ("num", "inf")]
-    signs = [t for t in tokens if t[0] == "sign"]
-    if len(vals) != 1 or len(vals) + len(signs) != len(tokens):
-        raise SolverError(f"expected a single number, got {tokens!r}")
-    v = _num_of(*vals[0])
-    for _, s in signs:
-        if s == "-":
-            v = -v
-    return v
-
-
-# ---------------------------------------------------------------------------
-# Result file exchange
-
-
-def write_result_file(outcome: SolveOutcome, request: SolveRequest, sink) -> None:
-    """JSON result document keyed by LP-safe variable names."""
-    doc: dict = {
-        "status": outcome.status.value,
-        "objective": outcome.objective,
-        "bound": outcome.bound,
-        "message": outcome.message,
-        "values": {},
-    }
-    if outcome.x is not None:
-        for nm, v in zip(lp_var_names(request), outcome.x):
-            doc["values"][nm] = float(v)
-    write_text(sink, dumps(doc))
-
-
-def read_result_file(source, request: SolveRequest) -> SolveOutcome:
-    """Read a result document and map values back onto request variables."""
-    doc = json.loads(read_text(source)[0])
-    try:
-        status = SolveStatus(str(doc["status"]).lower())
-    except ValueError:
-        status = SolveStatus.FAILED
-    values = doc.get("values") or {}
-    x = None
-    if values:
-        x = np.zeros(request.n_vars)
-        lookup = {nm: j for j, nm in enumerate(lp_var_names(request))}
-        for j, nm in enumerate(request.var_names):
-            if nm in values:  # raw names take precedence
-                x[j] = float(values[nm])
-        for nm, v in values.items():
-            if nm in lookup:
-                x[lookup[nm]] = float(v)
-    objective = doc.get("objective")
-    bound = doc.get("bound")
-    return SolveOutcome(
-        status=status, x=x,
-        objective=float(objective) if objective is not None else None,
-        bound=float(bound) if bound is not None else None,
-        backend="external", message=str(doc.get("message", "")),
-    )
-
-
-def _solve_external(request: SolveRequest, command: str) -> SolveOutcome:
-    t0 = time.monotonic()
-    args = shlex.split(command)
-    if not args:
-        raise SolverError("empty external solver command")
-    limit = request.params.get("time_limit_s")
-    timeout = float(limit) + 30.0 if limit is not None else None
-    with tempfile.TemporaryDirectory(prefix="munipath_lp_") as tmp:
-        lp_path = os.path.join(tmp, "problem.lp")
-        out_path = os.path.join(tmp, "result.json")
-        write_lp_file(request, lp_path)
-        try:
-            proc = subprocess.run(
-                args + [lp_path, out_path],
-                capture_output=True, text=True, timeout=timeout, check=False,
-            )
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            return SolveOutcome(status=SolveStatus.FAILED, backend="external",
-                                wall_time_s=time.monotonic() - t0,
-                                message=f"external solver failed: {exc}")
-        if proc.returncode != 0 or not os.path.exists(out_path):
-            return SolveOutcome(
-                status=SolveStatus.FAILED, backend="external",
-                wall_time_s=time.monotonic() - t0,
-                message=f"external solver exit {proc.returncode}: {proc.stderr[-500:]}")
-        outcome = read_result_file(out_path, request)
-    return SolveOutcome(
-        status=outcome.status, x=outcome.x, objective=outcome.objective,
-        bound=outcome.bound, backend="external",
-        wall_time_s=time.monotonic() - t0, message=outcome.message,
-    )

@@ -9,7 +9,8 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from munipath import cli, pathway
-from munipath.catalog import default_catalog
+from munipath.catalog import default_catalog, save_catalog
+from munipath.scenario import default_scenario, save_scenario
 from munipath.twin import load_twin
 
 EXE = [sys.executable, "-m", "munipath"]
@@ -105,6 +106,24 @@ def test_report_is_pure_and_matches_pathway_outputs(small_run, tmp_path):
         assert (re_out / name).read_bytes() == (out_dir / name).read_bytes()
 
 
+def test_paths_that_look_like_documents_are_paths(small_run, tmp_path, monkeypatch, capsys):
+    # relative names, so each argument starts with "{" as a document would
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen-fixture", "--out", "{twin}.json", "--buildings", "2"]) == 0
+    save_catalog(default_catalog(), "{catalog}.json")
+    save_scenario(default_scenario(), "{scenario}.json")
+    code = cli.main(["validate", "{twin}.json", "--catalog", "{catalog}.json",
+                     "--scenario", "{scenario}.json"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert "2 buildings" in out
+
+    (tmp_path / "{path}.json").write_bytes((small_run[2] / "path.json").read_bytes())
+    code = cli.main(["report", "{path}.json", "--out-dir", "re"])
+    assert code == 0, capsys.readouterr().err
+    assert (tmp_path / "re" / "report.csv").exists()
+
+
 def test_report_year_filter(small_run, tmp_path):
     _, _, out_dir, _ = small_run
     only = tmp_path / "only2033"
@@ -194,11 +213,12 @@ def test_validate_reads_the_catalog_option(twin2, tmp_path):
 
 
 def test_pathway_unknown_backend_exits_2(twin2, tmp_path):
-    res = run_cli("pathway", str(twin2), "--periods", "2023,2030",
-                  "--out-dir", str(tmp_path / "out"), "--backend", "bogus")
-    assert res.returncode == 2
-    assert "--backend" in res.stderr
-    assert not (tmp_path / "out").exists()
+    for backend in ("bogus", "external:cat"):
+        res = run_cli("pathway", str(twin2), "--periods", "2023,2030",
+                      "--out-dir", str(tmp_path / "out"), "--backend", backend)
+        assert res.returncode == 2, backend
+        assert "--backend" in res.stderr
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("limit", ["-1", "0", "nan", "soon"])

@@ -2,7 +2,6 @@
 
 import io
 
-import numpy as np
 import pytest
 
 from munipath.catalog import default_catalog, load_catalog, save_catalog
@@ -11,30 +10,9 @@ from munipath.fixtures import make_fixture_twin
 from munipath.pathway import StageResult
 from munipath.report import aggregate_stage, export_csv, export_geojson
 from munipath.scenario import default_scenario, load_scenario, save_scenario
-from munipath.solver import (
-    LinearModel,
-    SolveOutcome,
-    SolveStatus,
-    read_lp_file,
-    read_result_file,
-    write_lp_file,
-    write_result_file,
-)
 from munipath.twin import TimeGrid, load_twin, save_twin
 
 
-def _request():
-    m = LinearModel("tiny")
-    a = m.add_var("a", 0.0, 1.0, obj=-5.0, integer=True)
-    b = m.add_var("b", 0.0, 4.5, obj=-4.0)
-    m.add_constraint("cap", {a: 2.0, b: 3.0}, ub=4.0)
-    m.add_constraint("band", {a: 1.0, b: -1.0}, lb=-2.0, ub=1.0)
-    return m.build()
-
-
-REQUEST = _request()
-OUTCOME = SolveOutcome(status=SolveStatus.OPTIMAL, x=np.array([1.0, 0.5]),
-                       objective=-7.0, bound=-7.0, message="done")
 TWIN = make_fixture_twin(2, seed=3, grid=TimeGrid.representative_days(240))
 CATALOG = default_catalog()
 STAGE = StageResult(target_year=2030, period_years=7, budgets={}, solutions={},
@@ -54,9 +32,6 @@ DOCUMENTS = {
     "twin": (TWIN, save_twin, load_twin),
     "catalog": (CATALOG, save_catalog, load_catalog),
     "scenario": (default_scenario(), save_scenario, load_scenario),
-    "lp": (REQUEST, write_lp_file, read_lp_file),
-    "result": (OUTCOME, lambda out, sink: write_result_file(out, REQUEST, sink),
-               lambda source: read_result_file(source, REQUEST)),
 }
 
 SOURCE_FORMS = {
@@ -96,14 +71,14 @@ def test_base_dir_follows_the_source(tmp_path):
         assert read_text(fh) == ("{}", str(tmp_path))
     assert read_text(b"{}") == ("{}", None)
     assert read_text(io.StringIO("{}")) == ("{}", None)
+    with pytest.raises(FileNotFoundError):
+        read_text("no\nsuch.json")  # a str that does not start with "{" is a path
 
 
 WRITERS = {
     "twin": lambda sink: save_twin(TWIN, sink),
     "catalog": lambda sink: save_catalog(CATALOG, sink),
     "scenario": lambda sink: save_scenario(default_scenario(), sink),
-    "lp": lambda sink: write_lp_file(REQUEST, sink),
-    "result": lambda sink: write_result_file(OUTCOME, REQUEST, sink),
     "csv": lambda sink: export_csv([aggregate_stage(STAGE, CATALOG)], sink),
     "geojson": lambda sink: export_geojson(STAGE, CATALOG, sink),
 }

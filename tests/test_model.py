@@ -1,7 +1,6 @@
 """Per-building MILP: hand oracles, structure, verification, invariances."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from munipath.catalog import (
     restrict_catalog,
 )
 from munipath.model import (
-    BINARY_TOL,
     InfeasibleBuildingError,
     ModelError,
     build_model,

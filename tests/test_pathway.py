@@ -18,7 +18,6 @@ from munipath.pathway import (
     _assign_years,
     _commit,
     _split_measures,
-    _stage_dict,
     plan_pathway,
     plan_stage,
 )

@@ -10,7 +10,6 @@ from munipath.scenario import (
     ScenarioError,
     ScenarioFrame,
     cumulative_quota,
-    default_scenario,
     load_scenario,
     retrofit_budgets,
     save_scenario,

@@ -1,18 +1,13 @@
-"""Solver layer: backends, certificates, LP/result files, capacity guards."""
+"""Solver layer: backends, certificates, capacity guards."""
 
 import dataclasses
-import io
-import os
-import re
-import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from munipath.solver import (
+    BACKENDS,
     MAX_REFERENCE_INTEGERS,
     LinearModel,
     SolveRequest,
@@ -20,18 +15,12 @@ from munipath.solver import (
     SolverCapacityError,
     SolverError,
     duality_check_count,
-    lp_var_names,
-    read_lp_file,
-    read_result_file,
     solve,
-    write_lp_file,
-    write_result_file,
 )
 
 from oracles import enumerate_mip_optimum, make_random_mip, scipy_lp
 
 INF = float("inf")
-BACKENDS = ("highs", "reference")
 
 
 def _request(c, a, row_lb, row_ub, var_lb, var_ub, integrality,
@@ -254,8 +243,9 @@ def test_backend_env_fallback(monkeypatch):
 
 
 def test_unknown_backend_raises():
-    with pytest.raises(SolverError):
-        solve(_tiny_lp(), backend="simplexatron")
+    for backend in ("simplexatron", "external:cat"):
+        with pytest.raises(SolverError):
+            solve(_tiny_lp(), backend=backend)
 
 
 def test_time_limit_param_accepted():
@@ -340,140 +330,3 @@ def test_linear_model_objective_and_bounds():
     assert out.status is SolveStatus.OPTIMAL
     assert out.x[0] == pytest.approx(5.0)
 
-
-# ---------------------------------------------------------------------------
-# LP files, result files, external backend
-
-
-def _messy_request() -> SolveRequest:
-    lm = LinearModel("messy model")
-    v0 = lm.add_var("heat bal[0] ü", 0.0, 4.0)
-    v1 = lm.add_var("1st size", -2.0, 3.0)
-    v2 = lm.add_var("free var", -INF, INF)
-    v3 = lm.add_var("pick", 0.0, 1.0, integer=True)
-    lm.add_obj(v0, 1.5)
-    lm.add_obj(v1, -2.0)
-    lm.add_obj(v2, 0.25)
-    lm.add_obj(v3, 4.0)
-    lm.add_constraint("range row", [(v0, 1.0), (v1, 2.0)], -1.0, 6.0)
-    lm.add_constraint("eq row", [(v2, 1.0), (v3, 2.0)], 1.0, 1.0)
-    lm.add_constraint("ub row", [(v0, 1.0), (v2, 1.0)], -INF, 5.0)
-    lm.add_constraint("lb row", [(v1, 1.0), (v3, -1.0)], -3.0, INF)
-    return lm.build({})
-
-
-def test_lp_var_names_are_sanitized_and_unique():
-    req = _messy_request()
-    names = lp_var_names(req)
-    assert len(set(names)) == len(names)
-    assert all(re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", nm) for nm in names)
-
-
-def test_lp_file_round_trip(tmp_path):
-    req = _messy_request()
-    path = tmp_path / "problem.lp"
-    write_lp_file(req, path)
-    again = read_lp_file(path)
-    assert again.n_vars == req.n_vars
-    assert np.allclose(again.obj, req.obj)
-    assert again.obj_offset == req.obj_offset
-    assert np.array_equal(again.integrality, req.integrality)
-    assert np.allclose(again.var_lb, req.var_lb)
-    assert np.allclose(again.var_ub, req.var_ub)
-    a = solve(req, backend="highs")
-    b = solve(again, backend="highs")
-    assert a.status is b.status is SolveStatus.OPTIMAL
-    assert a.objective == pytest.approx(b.objective, rel=1e-9)
-
-
-_LOWER = st.sampled_from([-INF, -2.5, 0.0, 1.0, 4.0])
-_UPPER = st.sampled_from([-2.5, 0.0, 1.0, 4.0, INF])
-
-
-@st.composite
-def _small_requests(draw):
-    n = draw(st.integers(1, 5))
-    m = draw(st.integers(0, 4))
-    coef = st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.5, -0.125, 3e-4, 1234.5])
-    a = np.array(draw(st.lists(st.lists(coef, min_size=n, max_size=n),
-                               min_size=m, max_size=m)), dtype=float).reshape(m, n)
-    row_lb, row_ub, var_lb, var_ub = [], [], [], []
-    for lbs, ubs, size in ((row_lb, row_ub, m), (var_lb, var_ub, n)):
-        for _ in range(size):
-            lo, hi = sorted(draw(st.tuples(_LOWER, _UPPER)))
-            lbs.append(lo)
-            ubs.append(hi)
-    for i in range(m):
-        if not a[i].any():  # the writer drops empty rows, which bind nothing
-            row_lb[i], row_ub[i] = -INF, INF
-    req = _request(draw(st.lists(coef, min_size=n, max_size=n)), a, row_lb, row_ub,
-                   var_lb, var_ub, draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    names = draw(st.lists(st.text("ab _1.", min_size=1, max_size=4)
-                          | st.sampled_from(["inf", "Infinity", "info", "e1", "x__1"]),
-                          min_size=n, max_size=n, unique=True))
-    return dataclasses.replace(req, var_names=tuple(names),
-                               obj_offset=draw(st.sampled_from([0.0, -3.5, 17.0])))
-
-
-def _one_sided_rows(req):
-    """Rows as (terms, lb, ub) with range rows split in two, the LP file's form."""
-    dense = req.dense_matrix()
-    out = []
-    for i in range(req.n_rows):
-        terms = tuple(dense[i])
-        lo, hi = float(req.row_lb[i]), float(req.row_ub[i])
-        if not any(terms) or (lo == -INF and hi == INF):
-            continue
-        if lo == hi or lo == -INF or hi == INF:
-            out.append((terms, lo, hi))
-        else:
-            out += [(terms, lo, INF), (terms, -INF, hi)]
-    return out
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(req=_small_requests())
-@example(req=dataclasses.replace(  # "c?" sanitizes to "c_", then suffixes to "c___2"
-    _request([1.0, 2.0, 3.0], [[1.0, 1.0, 1.0]], [-INF], [4.0], [0.0] * 3,
-             [1.0] * 3, [False] * 3), var_names=("c___2", "c_", "c?")))
-@example(req=dataclasses.replace(_tiny_mip(), var_names=("inf", "infinity", "info")))
-def test_lp_file_round_trip_on_random_requests(req):
-    buf = io.StringIO()
-    write_lp_file(req, buf)
-    again = read_lp_file(buf.getvalue())
-    assert again.var_names == tuple(lp_var_names(req))
-    assert again.obj_offset == req.obj_offset
-    assert np.array_equal(again.obj, req.obj)
-    assert np.array_equal(again.var_lb, req.var_lb)
-    assert np.array_equal(again.var_ub, req.var_ub)
-    assert np.array_equal(again.integrality, req.integrality)
-    assert _one_sided_rows(again) == _one_sided_rows(req)
-
-
-def test_result_file_round_trip(tmp_path):
-    req = _tiny_mip()
-    out = solve(req, backend="reference")
-    path = tmp_path / "result.json"
-    write_result_file(out, req, path)
-    again = read_result_file(path, req)
-    assert again.status is SolveStatus.OPTIMAL
-    assert again.objective == pytest.approx(out.objective)
-    assert np.allclose(again.x, out.x)
-
-
-def test_external_backend_runs_subprocess():
-    shim = os.path.join(os.path.dirname(__file__), "external_solver.py")
-    backend = f"external:{sys.executable} {shim}"
-    for req, expected in ((_tiny_mip(), -8.0), (_tiny_lp(), -7.0)):
-        out = solve(req, backend=backend)
-        assert out.status is SolveStatus.OPTIMAL
-        assert out.backend == "external"
-        assert out.objective == pytest.approx(expected, abs=1e-7)
-    bad = _request([1.0], [[1.0]], [2.0], [INF], [0.0], [1.0], [False])
-    assert solve(bad, backend=backend).status is SolveStatus.INFEASIBLE
-
-
-def test_external_backend_failure_is_reported():
-    out = solve(_tiny_lp(), backend="external:/nonexistent/solver-binary")
-    assert out.status is SolveStatus.FAILED
-    assert "external solver" in out.message

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import pathlib
 import sys
@@ -49,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pathway", help="plan a transformation pathway")
     p.add_argument("twin", type=pathlib.Path, help="twin JSON document")
     _add_data_args(p)
-    p.add_argument("--periods", required=True,
+    p.add_argument("--periods", required=True, type=_stage_years,
                    help="comma-separated stage years, first is the status quo "
                         "(e.g. 2023,2030,2045)")
     p.add_argument("--out-dir", default=".", help="output directory (default: .)")
@@ -58,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", default=None, choices=BACKENDS,
                    help=f"solver backend ({', '.join(BACKENDS)}); "
                         "MUNIPATH_SOLVER applies only when this is not given")
-    p.add_argument("--mip-gap", type=float, default=1e-4,
+    p.add_argument("--mip-gap", type=_mip_gap, default=1e-4,
                    help="relative MIP gap (default 1e-4)")
     p.add_argument("--time-limit", type=_positive_seconds, default=None,
                    help="per-solve time limit in seconds; "
@@ -100,6 +101,26 @@ def _positive_seconds(value: str) -> float:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected a positive number of seconds, got {value!r}")
+
+
+def _stage_years(value: str) -> list[int]:
+    try:
+        years = [int(y) for y in value.split(",") if y.strip()]
+    except ValueError:
+        years = []
+    if len(years) >= 2 and all(a < b for a, b in zip(years, years[1:])):
+        return years
+    raise argparse.ArgumentTypeError(
+        f"expected at least two strictly increasing years, got {value!r}")
+
+
+def _mip_gap(value: str) -> float:
+    try:
+        if float(value) >= 0 and math.isfinite(float(value)):
+            return float(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number of at least 0, got {value!r}")
 
 
 def _positive_int(value: str) -> int:
@@ -146,11 +167,6 @@ def cmd_validate(args) -> int:
 
 def cmd_pathway(args) -> int:
     twin, cat, scenario = _load_inputs(args)
-    try:
-        years = [int(y) for y in args.periods.split(",") if y.strip()]
-    except ValueError:
-        print(f"cannot parse --periods {args.periods!r}", file=sys.stderr)
-        return EXIT_IO
     params = {"mip_gap": args.mip_gap}
     time_limit = args.time_limit
     if time_limit is None and "MUNIPATH_TIME_LIMIT" in os.environ:
@@ -164,7 +180,7 @@ def cmd_pathway(args) -> int:
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
 
     path_obj = plan_pathway(
-        twin, cat, scenario, years,
+        twin, cat, scenario, args.periods,
         objective_mode=args.objective, backend=args.backend,
         params=params, workers=workers,
     )

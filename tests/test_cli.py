@@ -22,6 +22,11 @@ def run_cli(*args, env_extra=None, cwd=None):
     env.pop("MUNIPATH_TIME_LIMIT", None)
     if env_extra:
         env.update(env_extra)
+    # The child resolves relative PYTHONPATH entries against its own working
+    # directory, which cwd= changes.
+    if env.get("PYTHONPATH"):
+        env["PYTHONPATH"] = os.pathsep.join(
+            os.path.abspath(entry) for entry in env["PYTHONPATH"].split(os.pathsep))
     return subprocess.run(EXE + list(args), capture_output=True, text=True,
                           env=env, cwd=cwd, timeout=560)
 
@@ -40,6 +45,12 @@ def small_run(tmp_path_factory):
                   "--workers", "1")
     assert res.returncode == 0, res.stderr
     return root, twin_path, out_dir, res
+
+
+def test_run_cli_works_from_another_directory(tmp_path):
+    res = run_cli("--version", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert "munipath" in res.stdout
 
 
 def test_gen_fixture_then_validate(tmp_path):
@@ -301,6 +312,24 @@ def test_backend_flag_wins_over_env(twin2, tmp_path):
                   "--out-dir", str(tmp_path / "out"), "--workers", "1",
                   "--backend", "highs", env_extra={"MUNIPATH_SOLVER": "bogus"})
     assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize("periods", ["2023", "2030,2023", "2023,2023"])
+def test_pathway_too_few_or_unordered_periods_exits_2(twin2, tmp_path, periods):
+    res = run_cli("pathway", str(twin2), "--periods", periods,
+                  "--out-dir", str(tmp_path / "out"))
+    assert res.returncode == 2
+    assert "--periods" in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("gap", ["-1", "nan"])
+def test_pathway_bad_mip_gap_exits_2(twin2, tmp_path, gap):
+    res = run_cli("pathway", str(twin2), "--periods", "2023,2030",
+                  "--out-dir", str(tmp_path / "out"), "--mip-gap", gap)
+    assert res.returncode == 2
+    assert "--mip-gap" in res.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-2", "1.5", "many"])

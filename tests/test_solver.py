@@ -79,6 +79,12 @@ def test_tiny_mip(backend):
     assert list(np.round(out.x)) == [1.0, 0.0, 1.0]
 
 
+def test_highs_reports_node_count():
+    out = solve(_tiny_mip(), backend="highs")
+    assert out.nodes >= 1
+    assert solve(_tiny_mip(), backend="reference").nodes is None
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_unbounded(backend):
     req = _request([-1.0], np.zeros((0, 1)), [], [], [0.0], [INF], [False])
@@ -293,6 +299,7 @@ def test_highs_runs_without_sub_mip_heuristics(monkeypatch, make_request, presol
     (options,) = seen
     assert options["mip_heuristic_run_rens"] is False
     assert options["mip_heuristic_run_rins"] is False
+    assert options["mip_heuristic_run_root_reduced_cost"] is False
     assert options["mip_heuristic_run_feasibility_jump"] is False
     assert options["presolve"] is presolve
     assert options["mip_rel_gap"] == 0.02

@@ -11,8 +11,6 @@ from .catalog import (  # noqa: F401
     default_catalog,
     effective_demand,
     load_catalog,
-    objective_value,
-    opportunity_cost_of_dismantle,
     residual_value,
     variant_cost,
     variant_heat_factor,

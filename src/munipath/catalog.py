@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 
 from .docio import dumps, read_text, write_text
-from .twin import COMPONENTS, HEAT_VECTORS, Building, RefurbState
+from .twin import COMPONENTS, HEAT_VECTORS, Building
 
 PRICED_CARRIERS = ("electricity", "gas", "oil", "pellets", "woodchips", "heat_network")
 FREE_CARRIERS = ("solar", "ambient")
@@ -259,11 +259,6 @@ def residual_value(capex_total: float, lifetime: float, remaining_years: float) 
     return capex_total * frac
 
 
-def opportunity_cost_of_dismantle(residual: float, deconstruction_cost: float) -> float:
-    """Total penalty of removing a usable asset: lost value plus removal."""
-    return residual + deconstruction_cost
-
-
 @dataclass(frozen=True)
 class CostBreakdown:
     """Objective components, each an annual equivalent in EUR per year.
@@ -287,19 +282,12 @@ class CostBreakdown:
     def __add__(self, other: "CostBreakdown") -> "CostBreakdown":
         return CostBreakdown(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
-    def scaled(self, factor: float) -> "CostBreakdown":
-        return CostBreakdown(*(factor * v for v in astuple(self)))
-
     @classmethod
     def zero(cls) -> "CostBreakdown":
         return cls()
 
     def to_dict(self) -> dict:
         return {**asdict(self), "objective": self.objective}
-
-
-def objective_value(breakdown: CostBreakdown) -> float:
-    return breakdown.objective
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +335,6 @@ def variant_cost(cat: Catalog, building: Building, variant_index: int,
                for name in variant_components(added))
 
 
-def variant_embodied(cat: Catalog, building: Building, variant_index: int,
-                     from_index: int | None = None) -> float:
-    """Embodied kgCO2eq of the components the variant adds."""
-    if from_index is None:
-        from_index = building.refurb_state.variant_index
-    added = variant_index & ~from_index
-    return sum(cat.refurb[name].embodied_per_m2 * cat.refurb[name].area(building)
-               for name in variant_components(added))
-
-
 def effective_demand(building: Building, variant_index: int,
                      cat: Catalog) -> dict[str, np.ndarray]:
     """Demand profiles the building would show under a refurbishment variant.
@@ -372,11 +350,6 @@ def effective_demand(building: Building, variant_index: int,
             arr = arr * variant_delta_factor(cat, current, variant_index, vector)
         out[vector] = arr
     return out
-
-
-def apply_variant(state: RefurbState, variant_index: int) -> RefurbState:
-    """Refurbishment state after executing a variant (monotone union)."""
-    return RefurbState.from_index(state.variant_index | variant_index)
 
 
 # ---------------------------------------------------------------------------

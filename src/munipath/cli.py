@@ -57,13 +57,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", default="cost",
                    choices=("cost", "emission", "weighted"))
     p.add_argument("--backend", default=None, choices=BACKENDS,
-                   help=f"solver backend ({', '.join(BACKENDS)}); "
-                        "MUNIPATH_SOLVER applies only when this is not given")
+                   help=f"solver backend ({', '.join(BACKENDS)}; default highs)")
     p.add_argument("--mip-gap", type=_mip_gap, default=1e-4,
                    help="relative MIP gap (default 1e-4)")
     p.add_argument("--time-limit", type=_positive_seconds, default=None,
-                   help="per-solve time limit in seconds; "
-                        "MUNIPATH_TIME_LIMIT applies only when this is not given")
+                   help="per-solve time limit in seconds (default: none)")
     p.add_argument("--workers", type=_positive_int, default=None,
                    help="parallel building solves (default: CPU count)")
     p.set_defaults(func=cmd_pathway)
@@ -168,15 +166,8 @@ def cmd_validate(args) -> int:
 def cmd_pathway(args) -> int:
     twin, cat, scenario = _load_inputs(args)
     params = {"mip_gap": args.mip_gap}
-    time_limit = args.time_limit
-    if time_limit is None and "MUNIPATH_TIME_LIMIT" in os.environ:
-        try:
-            time_limit = _positive_seconds(os.environ["MUNIPATH_TIME_LIMIT"])
-        except argparse.ArgumentTypeError as exc:
-            print(f"MUNIPATH_TIME_LIMIT: {exc}", file=sys.stderr)
-            return EXIT_IO
-    if time_limit is not None:
-        params["time_limit_s"] = time_limit
+    if args.time_limit is not None:
+        params["time_limit_s"] = args.time_limit
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
 
     path_obj = plan_pathway(

@@ -49,7 +49,6 @@ SCOPE1_CARRIERS = ("gas", "oil", "pellets", "woodchips")
 SCOPE2_CARRIERS = ("electricity", "heat_network")
 
 OBJECTIVE_MODES = ("cost", "emission", "weighted")
-KEEP_RULES = ("choose_one", "forbid_both")
 
 
 class ModelError(Exception):
@@ -91,8 +90,9 @@ class ModelArtifacts:
     options: dict
     alive: list[TechnologyInstance]
     units: list[_Unit]
-    var_kind: dict[int, tuple]
-    row_kind: dict[int, tuple]
+    # the builder's key of each column and row, in index order
+    var_keys: tuple[tuple, ...]
+    row_keys: tuple[tuple, ...]
     # per-variable annual coefficient tables (EUR/yr resp. kgCO2eq/yr per unit)
     cost_capex: np.ndarray = field(repr=False, default=None)
     cost_subsidy: np.ndarray = field(repr=False, default=None)
@@ -188,8 +188,6 @@ def build_model(
     allow_plant_change: bool | str = True,
     include_transition_costs: bool = True,
     size_grid: dict[str, tuple[float, ...]] | None = None,
-    keep_dismantle_rule: str = "choose_one",
-    params: dict | None = None,
 ) -> ModelArtifacts:
     """Assemble the expansion-and-operation MILP for one building.
 
@@ -203,8 +201,6 @@ def build_model(
     """
     if objective_mode not in OBJECTIVE_MODES:
         raise ModelError(f"unknown objective mode {objective_mode!r}")
-    if keep_dismantle_rule not in KEEP_RULES:
-        raise ModelError(f"unknown keep/dismantle rule {keep_dismantle_rule!r}")
     if period_years < 1:
         raise ModelError("period_years must be >= 1")
     size_grid = size_grid or {}
@@ -239,9 +235,7 @@ def build_model(
     current_ir = building.refurb_state.variant_index
     admissible = sorted(admissible_refurb_variants(building)) if allow_refurb else [current_ir]
 
-    m = LinearModel(name=f"bld_{building.id}_{target_year}")
-    var_kind: dict[int, tuple] = {}
-    row_kind: dict[int, tuple] = {}
+    m = LinearModel()
     cost_capex: list[float] = []
     cost_subsidy: list[float] = []
     cost_opex: list[float] = []
@@ -252,11 +246,10 @@ def build_model(
     em3: list[float] = []
     domain: list[str] = []
 
-    def new_var(name, kind, *, lb=0.0, ub=math.inf, integer=False, dom="heat",
+    def new_var(key, *, lb=0.0, ub=math.inf, integer=False, dom="heat",
                 capex=0.0, subsidy=0.0, opex=0.0, dec=0.0, resid=0.0,
                 s1=0.0, s2=0.0, s3=0.0) -> int:
-        idx = m.add_var(name, lb=lb, ub=ub, integer=integer)
-        var_kind[idx] = kind
+        idx = m.add_var(key, lb=lb, ub=ub, integer=integer)
         cost_capex.append(capex)
         cost_subsidy.append(subsidy)
         cost_opex.append(opex)
@@ -266,11 +259,6 @@ def build_model(
         em2.append(s2)
         em3.append(s3)
         domain.append(dom)
-        return idx
-
-    def new_row(name, kind, lb=-math.inf, ub=math.inf) -> int:
-        idx = m.add_row(name, lb, ub)
-        row_kind[idx] = kind
         return idx
 
     # -- keep / dismantle of existing units ----------------------------------
@@ -285,20 +273,19 @@ def build_model(
         keep_opex = spec.opex_fixed * inst.size
         trans = include_transition_costs
         v_keep[i] = new_var(
-            f"keep[{i}]", ("keep", i), ub=1.0, integer=True, dom=dom,
+            ("keep", i), ub=1.0, integer=True, dom=dom,
             opex=keep_opex,
             resid=af_period * resid if trans else 0.0,
         )
         v_drop[i] = new_var(
-            f"drop[{i}]", ("drop", i), ub=1.0, integer=True, dom=dom,
+            ("drop", i), ub=1.0, integer=True, dom=dom,
             dec=af_period * dec_cost if trans else 0.0,
             s3=((1.0 - EMBODIED_INSTALL_SHARE) * spec.embodied * inst.size / period_years
                 if trans else 0.0),
         )
-        rhs = 1.0 if keep_dismantle_rule == "choose_one" else 0.0
-        new_row(f"keepdrop[{i}]", ("keepdrop", i), rhs, rhs)
-        m.add_term(m.n_rows - 1, v_keep[i], 1.0)
-        m.add_term(m.n_rows - 1, v_drop[i], 1.0)
+        r_kd = m.add_row(("keepdrop", i), 1.0, 1.0)
+        m.add_term(r_kd, v_keep[i], 1.0)
+        m.add_term(r_kd, v_drop[i], 1.0)
         frozen = (not allow_plant_change
                   or (allow_plant_change == "additions_only" and spec.is_heat_converter))
         if frozen:
@@ -315,12 +302,12 @@ def build_model(
         af_life = annuity_factor(rate, spec.lifetime)
         dom = _unit_domain(spec)
         v_inst[spec.id] = new_var(
-            f"inst[{spec.id}]", ("inst", spec.id), ub=1.0, integer=True, dom=dom,
+            ("inst", spec.id), ub=1.0, integer=True, dom=dom,
             capex=af_life * spec.capex_fix,
             subsidy=af_life * spec.subsidy_rate * spec.capex_fix,
         )
         v_size[spec.id] = new_var(
-            f"size[{spec.id}]", ("size", spec.id), dom=dom,
+            ("size", spec.id), dom=dom,
             capex=af_life * spec.capex_var,
             subsidy=af_life * spec.subsidy_rate * spec.capex_var,
             opex=spec.opex_fixed,
@@ -328,28 +315,27 @@ def build_model(
         )
         if spec.id in size_grid:
             levels = tuple(sorted(size_grid[spec.id]))
-            r_sz = new_row(f"size_grid[{spec.id}]", ("size_grid", spec.id), 0.0, 0.0)
+            r_sz = m.add_row(("size_grid", spec.id), 0.0, 0.0)
             m.add_term(r_sz, v_size[spec.id], 1.0)
-            r_pick = new_row(f"pick_one[{spec.id}]", ("pick_one", spec.id), 0.0, 0.0)
+            r_pick = m.add_row(("pick_one", spec.id), 0.0, 0.0)
             m.add_term(r_pick, v_inst[spec.id], -1.0)
             for k, level in enumerate(levels):
-                p = new_var(f"pick[{spec.id},{k}]", ("pick", spec.id, k),
-                            ub=1.0, integer=True, dom=dom)
+                p = new_var(("pick", spec.id, k), ub=1.0, integer=True, dom=dom)
                 m.add_term(r_sz, p, -float(level))
                 m.add_term(r_pick, p, 1.0)
         else:
-            r_max = new_row(f"size_max[{spec.id}]", ("size_max", spec.id), -math.inf, 0.0)
+            r_max = m.add_row(("size_max", spec.id), -math.inf, 0.0)
             m.add_term(r_max, v_size[spec.id], 1.0)
             cap_ub = spec.max_size if math.isfinite(spec.max_size) else 1e6
             m.add_term(r_max, v_inst[spec.id], -cap_ub)
             if spec.min_size > 0:
-                r_min = new_row(f"size_min[{spec.id}]", ("size_min", spec.id), 0.0, math.inf)
+                r_min = m.add_row(("size_min", spec.id), 0.0, math.inf)
                 m.add_term(r_min, v_size[spec.id], 1.0)
                 m.add_term(r_min, v_inst[spec.id], -spec.min_size)
 
     # -- refurbishment variant choice -----------------------------------------
     v_variant: dict[int, int] = {}
-    r_choice = new_row("variant_choice", ("variant_choice",), 1.0, 1.0)
+    r_choice = m.add_row(("variant_choice",), 1.0, 1.0)
     for ir in range(16):
         ok = ir in admissible
         one_time = variant_cost(cat, building, ir) if ok else 0.0
@@ -366,7 +352,7 @@ def build_model(
                 / cat.refurb[name].lifetime
                 for name in variant_components(added))
         v_variant[ir] = new_var(
-            f"refvar[{ir}]", ("variant", ir), ub=1.0 if ok else 0.0, integer=True,
+            ("variant", ir), ub=1.0 if ok else 0.0, integer=True,
             dom="refurbishment", capex=ann, s3=s3,
         )
         m.add_term(r_choice, v_variant[ir], 1.0)
@@ -375,8 +361,8 @@ def build_model(
             m.fix_var(v_variant[ir], 1.0 if ir == current_ir else 0.0)
 
     # -- parallel measure limit ------------------------------------------------
-    r_par = new_row("parallel_limit", ("parallel_limit",),
-                    -math.inf, float(scenario.max_parallel_retrofits))
+    r_par = m.add_row(("parallel_limit",), -math.inf,
+                      float(scenario.max_parallel_retrofits))
     for tid, vi in v_inst.items():
         m.add_term(r_par, vi, 1.0)
     for ir in admissible:
@@ -393,7 +379,7 @@ def build_model(
         relevant = [u for u in units if getattr(u.spec, per_kw_attr) > 0]
         if not relevant:
             continue
-        r = new_row(rname, (rname,), -math.inf, total)
+        r = m.add_row((rname,), -math.inf, total)
         for u in relevant:
             per_kw = getattr(u.spec, per_kw_attr)
             if u.existing is not None:
@@ -418,14 +404,12 @@ def build_model(
             eff_per_unit[u.key] = eff
             ids = np.empty(steps, dtype=np.int64)
             for s in range(steps):
-                ids[s] = new_var(f"out[{u.key},{s}]", ("out", u.key, s), dom=dom,
-                                 opex=spec.opex_var * w[s],
-                                 )
+                ids[s] = new_var(("out", u.key, s), dom=dom, opex=spec.opex_var * w[s])
             v_out[u.key] = ids
             avail = _availability(spec, grid)
             cap_profile = avail if avail is not None else np.ones(steps)
             for s in range(steps):
-                r = new_row(f"cap[{u.key},{s}]", ("cap", u.key, s), -math.inf, 0.0)
+                r = m.add_row(("cap", u.key, s), -math.inf, 0.0)
                 m.add_term(r, ids[s], 1.0)
                 lim = cap_profile[s] * h
                 if u.existing is not None:
@@ -437,9 +421,9 @@ def build_model(
             ids_dis = np.empty(steps, dtype=np.int64)
             ids_soc = np.empty(steps, dtype=np.int64)
             for s in range(steps):
-                ids_ch[s] = new_var(f"ch[{u.key},{s}]", ("ch", u.key, s), dom=dom)
-                ids_dis[s] = new_var(f"dis[{u.key},{s}]", ("dis", u.key, s), dom=dom)
-                ids_soc[s] = new_var(f"soc[{u.key},{s}]", ("soc", u.key, s), dom=dom)
+                ids_ch[s] = new_var(("ch", u.key, s), dom=dom)
+                ids_dis[s] = new_var(("dis", u.key, s), dom=dom)
+                ids_soc[s] = new_var(("soc", u.key, s), dom=dom)
             v_ch[u.key], v_dis[u.key], v_soc[u.key] = ids_ch, ids_dis, ids_soc
             retention = (1.0 - spec.loss_per_hour) ** h
             p_lim = spec.power_per_capacity * h
@@ -447,7 +431,7 @@ def build_model(
                 for label, ids, lim in (("soc_cap", ids_soc, 1.0),
                                         ("ch_cap", ids_ch, p_lim),
                                         ("dis_cap", ids_dis, p_lim)):
-                    r = new_row(f"{label}[{u.key},{s}]", (label, u.key, s), -math.inf, 0.0)
+                    r = m.add_row((label, u.key, s), -math.inf, 0.0)
                     m.add_term(r, ids[s], 1.0)
                     if u.existing is not None:
                         m.add_term(r, v_keep[u.existing], -lim * u.cap)
@@ -457,7 +441,7 @@ def build_model(
                 lo, hi = block.start, block.stop
                 for s in range(lo, hi):
                     nxt = s + 1 if s + 1 < hi else lo
-                    r = new_row(f"soc_tr[{u.key},{s}]", ("soc_tr", u.key, s), 0.0, 0.0)
+                    r = m.add_row(("soc_tr", u.key, s), 0.0, 0.0)
                     m.add_term(r, ids_soc[nxt], 1.0)
                     m.add_term(r, ids_soc[s], -retention)
                     m.add_term(r, ids_ch[s], -spec.charge_efficiency)
@@ -478,18 +462,17 @@ def build_model(
         s2 = ef if c in SCOPE2_CARRIERS else 0.0
         ids = np.empty(steps, dtype=np.int64)
         for s in range(steps):
-            ids[s] = new_var(f"imp[{c},{s}]", ("imp", c, s), dom=_carrier_domain(c),
+            ids[s] = new_var(("imp", c, s), dom=_carrier_domain(c),
                              opex=price * w[s], s1=s1 * w[s], s2=s2 * w[s])
         v_imp[c] = ids
 
     feed_in = scenario.feed_in_at(year) / 100.0
     v_exp = np.empty(steps, dtype=np.int64)
     for s in range(steps):
-        v_exp[s] = new_var(f"exp[{s}]", ("exp", s), dom="electricity",
-                           opex=-feed_in * w[s])
+        v_exp[s] = new_var(("exp", s), dom="electricity", opex=-feed_in * w[s])
 
     for s in range(steps):
-        r = new_row(f"grid_cap[{s}]", ("grid_cap", s), -math.inf, 0.0)
+        r = m.add_row(("grid_cap", s), -math.inf, 0.0)
         m.add_term(r, v_imp["electricity"][s], 1.0)
         m.add_term(r, v_exp[s], 1.0)
         for u in grid_units:
@@ -504,18 +487,16 @@ def build_model(
     el = base.get("electricity", zeros)
     cool = base.get("cooling", None)
 
-    r_heat = [new_row(f"heat_bal[{s}]", ("balance", "heat", s), 0.0, 0.0)
-              for s in range(steps)]
-    r_el = [new_row(f"elec_bal[{s}]", ("balance", "electricity", s),
-                    float(el[s]), float(el[s])) for s in range(steps)]
+    r_heat = [m.add_row(("balance", "heat", s), 0.0, 0.0) for s in range(steps)]
+    r_el = [m.add_row(("balance", "electricity", s), float(el[s]), float(el[s]))
+            for s in range(steps)]
     r_cool = None
     if cool is not None:
-        r_cool = [new_row(f"cool_bal[{s}]", ("balance", "cooling", s),
-                          float(cool[s]), float(cool[s])) for s in range(steps)]
+        r_cool = [m.add_row(("balance", "cooling", s), float(cool[s]), float(cool[s]))
+                  for s in range(steps)]
     r_fuel: dict[str, list[int]] = {}
     for c in carriers:
-        r_fuel[c] = [new_row(f"fuel[{c},{s}]", ("fuel", c, s), 0.0, 0.0)
-                     for s in range(steps)]
+        r_fuel[c] = [m.add_row(("fuel", c, s), 0.0, 0.0) for s in range(steps)]
 
     # variant-conditional heat demand on the heat balance
     for ir in admissible:
@@ -570,9 +551,8 @@ def build_model(
             "allow_plant_change": allow_plant_change,
             "include_transition_costs": include_transition_costs,
             "size_grid": {k: tuple(v) for k, v in size_grid.items()},
-            "keep_dismantle_rule": keep_dismantle_rule,
         },
-        alive=alive, units=units, var_kind=var_kind, row_kind=row_kind,
+        alive=alive, units=units, var_keys=m.var_keys, row_keys=m.row_keys,
         cost_capex=np.array(cost_capex), cost_subsidy=np.array(cost_subsidy),
         cost_opex=np.array(cost_opex), cost_dec=np.array(cost_dec),
         cost_resid=np.array(cost_resid),
@@ -583,7 +563,7 @@ def build_model(
     for j in range(m.n_vars):
         if obj_vec[j]:
             m.add_obj(j, float(obj_vec[j]))
-    arts.request = m.build(params)
+    arts.request = m.build()
     return arts
 
 
@@ -637,11 +617,10 @@ def extract_solution(arts: ModelArtifacts, outcome: SolveOutcome) -> BuildingSol
     if not outcome.ok:
         raise ModelError(f"cannot extract from status {outcome.status.value}")
     x = outcome.x
-    req = arts.request
     w = arts.grid.step_weights()
 
     # objective closure against the coefficient tables
-    recon = float(arts.objective_vector() @ x) + req.obj_offset
+    recon = float(arts.objective_vector() @ x)
     if outcome.objective is not None:
         scale = max(1.0, abs(outcome.objective))
         if abs(recon - outcome.objective) > CLOSURE_REL_TOL * scale * 10:
@@ -659,7 +638,7 @@ def extract_solution(arts: ModelArtifacts, outcome: SolveOutcome) -> BuildingSol
 
     size_of: dict[str, float] = {}
     inst_of: dict[str, int] = {}
-    for idx, kind in arts.var_kind.items():
+    for idx, kind in enumerate(arts.var_keys):
         tag = kind[0]
         if tag == "keep":
             if _binary_value(x, idx):
@@ -753,6 +732,13 @@ def extract_solution(arts: ModelArtifacts, outcome: SolveOutcome) -> BuildingSol
     )
 
 
+def _label(key: tuple) -> str:
+    """A column or row key as text: ``("cap", "x0:gas_boiler", 3)`` reads
+    ``cap[x0:gas_boiler,3]``."""
+    tag, *rest = key
+    return f"{tag}[{','.join(map(str, rest))}]" if rest else tag
+
+
 def check_solution(arts: ModelArtifacts, x: np.ndarray,
                    rel_tol: float = 1e-6, soc_tol_kwh: float = 1e-6) -> list[str]:
     """Structural verification of a solution vector against the model.
@@ -769,7 +755,7 @@ def check_solution(arts: ModelArtifacts, x: np.ndarray,
     gross = np.zeros(req.n_rows)
     np.add.at(gross, req.a_rows, np.abs(req.a_vals * x[req.a_cols]))
 
-    for ridx, kind in arts.row_kind.items():
+    for ridx, kind in enumerate(arts.row_keys):
         tag = kind[0]
         act = float(activity[ridx])
         lo, hi = float(req.row_lb[ridx]), float(req.row_ub[ridx])
@@ -777,7 +763,7 @@ def check_solution(arts: ModelArtifacts, x: np.ndarray,
         if tag in ("balance", "fuel", "soc_tr"):
             tol = soc_tol_kwh if tag == "soc_tr" else rel_tol * scale
             if abs(act - lo) > tol:
-                violations.append(f"{req.row_names[ridx]}: residual {act - lo:.3e}")
+                violations.append(f"{_label(kind)}: residual {act - lo:.3e}")
         elif tag in ("roof_area", "open_space_area"):
             if act > hi + 1e-7 * scale:
                 violations.append(f"{tag}: used {act:.6f} exceeds {hi:.6f}")
@@ -786,20 +772,20 @@ def check_solution(arts: ModelArtifacts, x: np.ndarray,
                 violations.append(f"parallel_limit: {act:.6f} > {hi:.6f}")
         elif tag == "keepdrop":
             if abs(act - lo) > 1e-6:
-                violations.append(f"keepdrop[{kind[1]}]: sum {act:.8f} != {lo}")
+                violations.append(f"{_label(kind)}: sum {act:.8f} != {lo}")
         elif tag == "variant_choice":
             if abs(act - 1.0) > 1e-6:
                 violations.append(f"variant_choice: sum {act:.8f} != 1")
         else:
             if act < lo - max(1e-7, rel_tol * scale) or act > hi + max(1e-7, rel_tol * scale):
                 violations.append(
-                    f"{req.row_names[ridx]}: activity {act:.6e} outside [{lo}, {hi}]")
+                    f"{_label(kind)}: activity {act:.6e} outside [{lo}, {hi}]")
 
-    for idx, kind in arts.var_kind.items():
+    for idx, kind in enumerate(arts.var_keys):
         if kind[0] == "soc":
             v = float(x[idx])
             if v < -soc_tol_kwh:
-                violations.append(f"{req.var_names[idx]}: negative charge {v:.3e}")
+                violations.append(f"{_label(kind)}: negative charge {v:.3e}")
     return violations
 
 
@@ -818,10 +804,9 @@ def optimize_building(
     """Build, solve, and interpret one building's stage problem."""
     arts = build_model(
         building, cat, scenario, grid,
-        target_year=target_year, period_years=period_years,
-        params=params, **options,
+        target_year=target_year, period_years=period_years, **options,
     )
-    outcome = solve(arts.request, backend=backend)
+    outcome = solve(arts.request, backend=backend, params=params)
     if outcome.status is SolveStatus.INFEASIBLE:
         raise InfeasibleBuildingError(building.id, "no feasible expansion and dispatch plan")
     if not outcome.ok:

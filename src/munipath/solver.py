@@ -1,6 +1,9 @@
 """Solver abstraction: model builder and backends.
 
-Two backends sit behind one request type:
+A ``SolveRequest`` is the problem and nothing else: objective, triplet
+matrix, row and column bounds, integrality.  ``solve(request, backend,
+params)`` takes the backend and the settings (MIP gap, time limit).  Two
+backends sit behind it:
 
 * ``highs``: scipy's interface to the HiGHS MILP solver, the default.
   It runs with the RENS, RINS, root reduced-cost and feasibility-jump
@@ -30,10 +33,10 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Hashable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +48,7 @@ MAX_REFERENCE_INTEGERS = 60
 
 DUALITY_TOL = 1e-7
 
-# Relative MIP gap when the request's params give none.
+# Relative MIP gap when ``solve``'s params give none.
 DEFAULT_MIP_GAP = 1e-6
 
 # Every name ``solve`` accepts as a backend.
@@ -77,7 +80,6 @@ class SolveRequest:
     """One minimization problem in triplet form."""
 
     obj: np.ndarray  # (n,)
-    obj_offset: float
     a_rows: np.ndarray  # (nnz,) int
     a_cols: np.ndarray  # (nnz,) int
     a_vals: np.ndarray  # (nnz,) float
@@ -86,10 +88,6 @@ class SolveRequest:
     var_lb: np.ndarray  # (n,)
     var_ub: np.ndarray  # (n,)
     integrality: np.ndarray  # (n,) bool
-    var_names: tuple[str, ...]
-    row_names: tuple[str, ...]
-    name: str = "model"
-    params: dict = field(default_factory=dict)
 
     @property
     def n_vars(self) -> int:
@@ -108,17 +106,6 @@ class SolveRequest:
         act = np.zeros(self.n_rows)
         np.add.at(act, self.a_rows, self.a_vals * x[self.a_cols])
         return act
-
-    def with_bounds(self, var_lb: np.ndarray, var_ub: np.ndarray) -> "SolveRequest":
-        return SolveRequest(
-            obj=self.obj, obj_offset=self.obj_offset,
-            a_rows=self.a_rows, a_cols=self.a_cols, a_vals=self.a_vals,
-            row_lb=self.row_lb, row_ub=self.row_ub,
-            var_lb=var_lb, var_ub=var_ub,
-            integrality=self.integrality,
-            var_names=self.var_names, row_names=self.row_names,
-            name=self.name, params=self.params,
-        )
 
 
 @dataclass(frozen=True)
@@ -146,44 +133,46 @@ class SolveOutcome:
 class LinearModel:
     """Incremental builder for a SolveRequest.
 
-    Duplicate terms on the same (row, var) pair sum up, so balance rows can
-    be assembled piecewise.
+    Every column and row is identified by a hashable key, such as
+    ``("out", unit, step)``; ``var_keys`` and ``row_keys`` list them in
+    index order.  Duplicate terms on the same (row, var) pair sum up, so
+    balance rows can be assembled piecewise.
     """
 
-    def __init__(self, name: str = "model"):
-        self.name = name
-        self._var_names: list[str] = []
-        self._var_index: dict[str, int] = {}
+    def __init__(self):
+        self._var_index: dict[Hashable, int] = {}
         self._lb: list[float] = []
         self._ub: list[float] = []
         self._obj: list[float] = []
         self._integer: list[bool] = []
-        self._row_names: list[str] = []
-        self._row_index: dict[str, int] = {}
+        self._row_index: dict[Hashable, int] = {}
         self._row_lb: list[float] = []
         self._row_ub: list[float] = []
         self._terms: dict[tuple[int, int], float] = {}
-        self.obj_offset = 0.0
+
+    @property
+    def var_keys(self) -> tuple:
+        return tuple(self._var_index)
+
+    @property
+    def row_keys(self) -> tuple:
+        return tuple(self._row_index)
 
     # -- variables ----------------------------------------------------------
 
-    def add_var(self, name: str, lb: float = 0.0, ub: float = INF,
+    def add_var(self, key: Hashable, lb: float = 0.0, ub: float = INF,
                 obj: float = 0.0, integer: bool = False) -> int:
-        if name in self._var_index:
-            raise ValueError(f"duplicate variable name {name!r}")
+        if key in self._var_index:
+            raise ValueError(f"duplicate variable {key!r}")
         if lb > ub:
-            raise ValueError(f"variable {name!r}: lb {lb} > ub {ub}")
-        idx = len(self._var_names)
-        self._var_index[name] = idx
-        self._var_names.append(name)
+            raise ValueError(f"variable {key!r}: lb {lb} > ub {ub}")
+        idx = len(self._lb)
+        self._var_index[key] = idx
         self._lb.append(float(lb))
         self._ub.append(float(ub))
         self._obj.append(float(obj))
         self._integer.append(bool(integer))
         return idx
-
-    def var(self, name: str) -> int:
-        return self._var_index[name]
 
     def add_obj(self, var: int, delta: float) -> None:
         self._obj[var] += float(delta)
@@ -194,16 +183,15 @@ class LinearModel:
 
     @property
     def n_vars(self) -> int:
-        return len(self._var_names)
+        return len(self._lb)
 
     # -- rows ---------------------------------------------------------------
 
-    def add_row(self, name: str, lb: float = -INF, ub: float = INF) -> int:
-        if name in self._row_index:
-            raise ValueError(f"duplicate row name {name!r}")
-        idx = len(self._row_names)
-        self._row_index[name] = idx
-        self._row_names.append(name)
+    def add_row(self, key: Hashable, lb: float = -INF, ub: float = INF) -> int:
+        if key in self._row_index:
+            raise ValueError(f"duplicate row {key!r}")
+        idx = len(self._row_lb)
+        self._row_index[key] = idx
         self._row_lb.append(float(lb))
         self._row_ub.append(float(ub))
         return idx
@@ -214,37 +202,25 @@ class LinearModel:
         key = (row, var)
         self._terms[key] = self._terms.get(key, 0.0) + float(coef)
 
-    def add_constraint(self, name: str, terms, lb: float = -INF, ub: float = INF) -> int:
-        row = self.add_row(name, lb, ub)
-        items = terms.items() if isinstance(terms, dict) else terms
-        for var, coef in items:
-            self.add_term(row, var, coef)
-        return row
-
     @property
     def n_rows(self) -> int:
-        return len(self._row_names)
+        return len(self._row_lb)
 
     # -- assembly -----------------------------------------------------------
 
-    def build(self, params: dict | None = None) -> SolveRequest:
+    def build(self) -> SolveRequest:
         keys = sorted(self._terms)
         rows = np.array([k[0] for k in keys], dtype=np.int64)
         cols = np.array([k[1] for k in keys], dtype=np.int64)
         vals = np.array([self._terms[k] for k in keys], dtype=float)
         return SolveRequest(
             obj=np.array(self._obj, dtype=float),
-            obj_offset=float(self.obj_offset),
             a_rows=rows, a_cols=cols, a_vals=vals,
             row_lb=np.array(self._row_lb, dtype=float),
             row_ub=np.array(self._row_ub, dtype=float),
             var_lb=np.array(self._lb, dtype=float),
             var_ub=np.array(self._ub, dtype=float),
             integrality=np.array(self._integer, dtype=bool),
-            var_names=tuple(self._var_names),
-            row_names=tuple(self._row_names),
-            name=self.name,
-            params=dict(params or {}),
         )
 
 
@@ -252,18 +228,19 @@ class LinearModel:
 # Backend dispatch
 
 
-def solve(request: SolveRequest, backend: str | None = None) -> SolveOutcome:
-    """Solve a request with the chosen backend.
+def solve(request: SolveRequest, backend: str | None = None,
+          params: dict | None = None) -> SolveOutcome:
+    """Solve a request with a backend (``None`` means ``highs``).
 
-    ``backend`` falls back to the MUNIPATH_SOLVER environment variable and
-    then to ``highs``.
+    ``params`` may give ``mip_gap`` (relative, default ``DEFAULT_MIP_GAP``)
+    and ``time_limit_s`` (per solve, default none).  The reference backend
+    also reads ``integrality_tol``.
     """
-    if backend is None:
-        backend = os.environ.get("MUNIPATH_SOLVER", "highs")
-    if backend == "highs":
-        return _solve_highs(request)
+    params = params or {}
+    if backend is None or backend == "highs":
+        return _solve_highs(request, params)
     if backend == "reference":
-        return _solve_reference(request)
+        return _solve_reference(request, params)
     raise SolverError(f"unknown solver backend {backend!r}")
 
 
@@ -279,11 +256,10 @@ _HIGHS_STATUS = {
 }
 
 
-def _solve_highs(request: SolveRequest) -> SolveOutcome:
+def _solve_highs(request: SolveRequest, p: dict) -> SolveOutcome:
     from scipy import optimize, sparse
 
     t0 = time.monotonic()
-    p = request.params
     # Presolve only where no integer column is free (status-quo and
     # frozen-plan models, LPs in all but name).  With a free integer column
     # it restarts the root search several times on the per-building MILPs:
@@ -333,10 +309,10 @@ def _solve_highs(request: SolveRequest) -> SolveOutcome:
     if status is SolveStatus.FEASIBLE and res.x is None:
         status = SolveStatus.FAILED
     x = np.asarray(res.x, dtype=float) if res.x is not None else None
-    objective = float(res.fun) + request.obj_offset if res.fun is not None else None
+    objective = float(res.fun) if res.fun is not None else None
     bound = getattr(res, "mip_dual_bound", None)
     if bound is not None:
-        bound = float(bound) + request.obj_offset
+        bound = float(bound)
     gap = getattr(res, "mip_gap", None)
     nodes = getattr(res, "mip_node_count", None)
     return SolveOutcome(
@@ -561,7 +537,7 @@ def _reference_lp(request: SolveRequest, var_lb=None, var_ub=None):
             return SolveStatus.UNBOUNDED, None, None
         _verify_certificate(sf, z, [])
         x = _recover_x(sf, z, request.n_vars)
-        return SolveStatus.OPTIMAL, x, float(sf.c @ z) + sf.const + request.obj_offset
+        return SolveStatus.OPTIMAL, x, float(sf.c @ z) + sf.const
 
     # Phase 1: artificial start
     m1 = np.hstack([sf.m_eq, np.eye(m)])
@@ -622,7 +598,7 @@ def _reference_lp(request: SolveRequest, var_lb=None, var_ub=None):
         raise SolverNumericsError("artificial column left in final basis")
     _verify_certificate(sf, z, basis_struct)
     x = _recover_x(sf, z, request.n_vars)
-    obj = float(sf.c @ z) + sf.const + request.obj_offset
+    obj = float(sf.c @ z) + sf.const
     return SolveStatus.OPTIMAL, x, obj
 
 
@@ -638,7 +614,7 @@ def _recover_x(sf: _StandardForm, z, n_vars) -> np.ndarray:
     return x
 
 
-def _solve_reference(request: SolveRequest) -> SolveOutcome:
+def _solve_reference(request: SolveRequest, params: dict) -> SolveOutcome:
     t0 = time.monotonic()
     ints = np.flatnonzero(request.integrality)
     if ints.size == 0:
@@ -655,13 +631,13 @@ def _solve_reference(request: SolveRequest) -> SolveOutcome:
            if not (math.isfinite(request.var_lb[j]) and math.isfinite(request.var_ub[j]))]
     if bad:
         raise SolverCapacityError(f"integer variables need finite bounds: {bad}")
-    return _branch_and_bound(request, ints, t0)
+    return _branch_and_bound(request, params, ints, t0)
 
 
-def _branch_and_bound(request: SolveRequest, int_idx: np.ndarray, t0: float) -> SolveOutcome:
+def _branch_and_bound(request: SolveRequest, p: dict, int_idx: np.ndarray,
+                      t0: float) -> SolveOutcome:
     import heapq
 
-    p = request.params
     mip_gap = float(p.get("mip_gap", DEFAULT_MIP_GAP))
     int_tol = float(p.get("integrality_tol", 1e-6))
     time_limit = p.get("time_limit_s")

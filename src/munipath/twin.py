@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -438,9 +438,3 @@ def peak_demand(b: Building, vector: str) -> float:
     if prof is None:
         raise MissingProfileError(b.id, vector)
     return prof.peak_kw()
-
-
-def replace_building(twin: EnergyTwin, building: Building) -> EnergyTwin:
-    """New twin with one building swapped (id must already exist)."""
-    replaced = tuple(building if b.id == building.id else b for b in twin.buildings)
-    return replace(twin, buildings=replaced)

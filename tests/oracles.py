@@ -36,8 +36,8 @@ def scipy_lp(request, fixed: dict[int, float] | None = None):
     """Solve the request's continuous relaxation with scipy's HiGHS LP.
 
     ``fixed`` pins variables (used to enumerate integer patterns).
-    Returns (status, objective) with objective including the offset;
-    status one of 'optimal', 'infeasible', 'unbounded'.
+    Returns (status, objective); status one of 'optimal', 'infeasible',
+    'unbounded' or 'failed'.
     """
     fixed = fixed or {}
     n = request.n_vars
@@ -81,7 +81,7 @@ def scipy_lp(request, fixed: dict[int, float] | None = None):
         return "unbounded", None
     if not res.success:
         return "failed", None
-    return "optimal", float(res.fun) + float(request.obj_offset)
+    return "optimal", float(res.fun)
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +91,9 @@ def scipy_lp(request, fixed: dict[int, float] | None = None):
 def enumerate_building_optimum(arts) -> float | None:
     """Best objective over all integer patterns, LP dispatch per pattern.
 
-    Returns None when no pattern is feasible.  Only supports models whose
-    candidates all use a size grid and whose keep rule is choose_one.
+    Returns None when no pattern is feasible.  Each existing unit is either
+    kept or dropped; a candidate is skipped, installed at one of its size
+    grid levels, or installed with its size left to the LP.
     """
     req = arts.request
     keep_idx: dict[int, int] = {}
@@ -100,7 +101,7 @@ def enumerate_building_optimum(arts) -> float | None:
     inst_idx: dict[str, int] = {}
     picks: dict[str, list[int]] = {}
     variant_idx: dict[int, int] = {}
-    for j, kind in arts.var_kind.items():
+    for j, kind in enumerate(arts.var_keys):
         tag = kind[0]
         if tag == "keep":
             keep_idx[kind[1]] = j

@@ -55,16 +55,13 @@ def _mip_request(c, a, row_lb, row_ub, var_lb, var_ub, integrality) -> SolveRequ
     a = np.asarray(a, dtype=float)
     rows, cols = np.nonzero(a)
     return SolveRequest(
-        obj=np.asarray(c, dtype=float), obj_offset=0.0,
+        obj=np.asarray(c, dtype=float),
         a_rows=rows, a_cols=cols, a_vals=a[rows, cols],
         row_lb=np.asarray(row_lb, dtype=float),
         row_ub=np.asarray(row_ub, dtype=float),
         var_lb=np.asarray(var_lb, dtype=float),
         var_ub=np.asarray(var_ub, dtype=float),
         integrality=np.asarray(integrality, dtype=bool),
-        var_names=tuple(f"x{j}" for j in range(len(c))),
-        row_names=tuple(f"r{i}" for i in range(len(row_lb))),
-        name="acc7", params={},
     )
 
 
@@ -80,9 +77,8 @@ def test_criterion_1_oracle_equivalence(cat, scen):
     for k in range(50):
         building, toy_cat, grid, size_grid = make_toy_instance(rng, cat)
         arts = build_toy_model(building, toy_cat, grid, size_grid, scen)
-        arts.request.params.update({"mip_gap": 1e-9})
         best = enumerate_building_optimum(arts)
-        out = solve(arts.request)
+        out = solve(arts.request, params={"mip_gap": 1e-9})
         if best is None or not out.ok:
             problems.append(f"instance {k}: enumeration={best} solver={out.status}")
             continue

@@ -14,18 +14,15 @@ from munipath.catalog import (
     RefurbComponentSpec,
     TechnologySpec,
     annuity_factor,
-    apply_variant,
     default_catalog,
     effective_demand,
     load_catalog,
-    opportunity_cost_of_dismantle,
     residual_value,
     restrict_catalog,
     save_catalog,
     variant_components,
     variant_cost,
     variant_delta_factor,
-    variant_embodied,
     variant_heat_factor,
 )
 from munipath.twin import (
@@ -77,11 +74,6 @@ def test_residual_value_monotone_in_remaining_years():
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
-def test_opportunity_cost_composition():
-    assert opportunity_cost_of_dismantle(350.0, 120.0) == pytest.approx(470.0)
-    assert opportunity_cost_of_dismantle(0.0, 0.0) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # CostBreakdown
 
@@ -99,9 +91,6 @@ def test_cost_breakdown_add_and_scale():
     s = a + b
     assert s.capex == 11.0 and s.residual_value == 55.0
     assert s.objective == pytest.approx(a.objective + b.objective)
-    h = b.scaled(0.5)
-    assert h.opex == 15.0
-    assert h.objective == pytest.approx(b.objective * 0.5)
     d = s.to_dict()
     assert d["objective"] == pytest.approx(s.objective)
 
@@ -180,13 +169,6 @@ def test_variant_cost_full_envelope_sums_components(cat):
     assert variant_cost(cat, b, 15, 1) == pytest.approx(total)
 
 
-def test_variant_embodied_matches_component_sum(cat):
-    b = _demo_building()
-    expected = sum(cat.refurb[n].embodied_per_m2 * cat.refurb[n].area(b)
-                   for n in ("wall", "window"))
-    assert variant_embodied(cat, b, 7, 1) == pytest.approx(expected)
-
-
 def test_effective_demand_identity_and_scaling(cat):
     b = _demo_building()
     grid = TimeGrid.full_year(60)  # only used for array sizes here
@@ -200,13 +182,6 @@ def test_effective_demand_identity_and_scaling(cat):
     # electricity untouched by envelope measures
     assert np.allclose(full["electricity"], base["electricity"])
     assert factor < 1.0
-
-
-def test_apply_variant_unions_components():
-    state = RefurbState(roof=True)
-    after = apply_variant(state, 6)
-    assert after.variant_index == 7
-    assert apply_variant(after, 7).variant_index == 7
 
 
 # ---------------------------------------------------------------------------

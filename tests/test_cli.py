@@ -8,9 +8,10 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from munipath import cli, pathway
+from munipath import cli, model, pathway
 from munipath.catalog import default_catalog, save_catalog
 from munipath.scenario import default_scenario, save_scenario
+from munipath.solver import SolverError
 from munipath.twin import load_twin
 
 EXE = [sys.executable, "-m", "munipath"]
@@ -18,8 +19,6 @@ EXE = [sys.executable, "-m", "munipath"]
 
 def run_cli(*args, env_extra=None, cwd=None):
     env = dict(os.environ)
-    env.pop("MUNIPATH_SOLVER", None)
-    env.pop("MUNIPATH_TIME_LIMIT", None)
     if env_extra:
         env.update(env_extra)
     # The child resolves relative PYTHONPATH entries against its own working
@@ -178,17 +177,6 @@ def test_report_output_independent_of_hash_seed(small_run, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_pathway_with_time_limit_env(tmp_path):
-    twin_path = tmp_path / "twin.json"
-    gen = run_cli("gen-fixture", "--out", str(twin_path), "--buildings", "2",
-                  "--seed", "7")
-    assert gen.returncode == 0
-    res = run_cli("pathway", str(twin_path), "--periods", "2023,2030",
-                  "--out-dir", str(tmp_path / "out"), "--workers", "1",
-                  env_extra={"MUNIPATH_TIME_LIMIT": "120"})
-    assert res.returncode == 0, res.stderr
-
-
 def test_pathway_bad_periods_exits_2(tmp_path):
     twin_path = tmp_path / "twin.json"
     run_cli("gen-fixture", "--out", str(twin_path), "--buildings", "2")
@@ -238,19 +226,7 @@ def test_pathway_non_positive_time_limit_exits_2(twin2, tmp_path, limit):
                   "--out-dir", str(tmp_path / "out"), "--time-limit", limit)
     assert res.returncode == 2
     assert "--time-limit" in res.stderr
-    res = run_cli("pathway", str(twin2), "--periods", "2023,2030",
-                  "--out-dir", str(tmp_path / "out"),
-                  env_extra={"MUNIPATH_TIME_LIMIT": limit})
-    assert res.returncode == 2
-    assert "MUNIPATH_TIME_LIMIT" in res.stderr
     assert not (tmp_path / "out").exists()
-
-
-def test_time_limit_flag_wins_over_env(twin2, tmp_path):
-    res = run_cli("pathway", str(twin2), "--periods", "2023,2030",
-                  "--out-dir", str(tmp_path / "out"), "--workers", "1",
-                  "--time-limit", "120", env_extra={"MUNIPATH_TIME_LIMIT": "soon"})
-    assert res.returncode == 0, res.stderr
 
 
 class _BrokenPool:
@@ -271,8 +247,6 @@ class _BrokenPool:
 
 def test_broken_worker_pool_exits_3(twin2, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(pathway, "ProcessPoolExecutor", _BrokenPool)
-    monkeypatch.delenv("MUNIPATH_SOLVER", raising=False)
-    monkeypatch.delenv("MUNIPATH_TIME_LIMIT", raising=False)
     code = cli.main(["pathway", str(twin2), "--periods", "2023,2030",
                      "--out-dir", str(tmp_path / "out"), "--workers", "2"])
     err = capsys.readouterr().err
@@ -281,13 +255,17 @@ def test_broken_worker_pool_exits_3(twin2, tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_solver_error_exits_3(twin2, tmp_path):
-    res = run_cli("pathway", str(twin2), "--periods", "2023,2030",
-                  "--out-dir", str(tmp_path / "out"), "--workers", "1",
-                  env_extra={"MUNIPATH_SOLVER": "bogus"})
-    assert res.returncode == 3
-    assert "solver failure" in res.stderr
-    assert "Traceback" not in res.stderr
+def test_solver_error_exits_3(twin2, tmp_path, monkeypatch, capsys):
+    def broken_solve(request, backend=None, params=None):
+        raise SolverError("the solver crashed")
+
+    monkeypatch.setattr(model, "solve", broken_solve)
+    code = cli.main(["pathway", str(twin2), "--periods", "2023,2030",
+                     "--out-dir", str(tmp_path / "out"), "--workers", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "solver failure" in err
+    assert "Traceback" not in err
 
 
 def test_unsolvable_stock_exits_3(tmp_path):

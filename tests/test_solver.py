@@ -23,8 +23,7 @@ from oracles import enumerate_mip_optimum, make_random_mip, scipy_lp
 INF = float("inf")
 
 
-def _request(c, a, row_lb, row_ub, var_lb, var_ub, integrality,
-             params=None, name="t") -> SolveRequest:
+def _request(c, a, row_lb, row_ub, var_lb, var_ub, integrality) -> SolveRequest:
     a = np.asarray(a, dtype=float)
     if a.size:
         rows, cols = np.nonzero(a)
@@ -33,16 +32,13 @@ def _request(c, a, row_lb, row_ub, var_lb, var_ub, integrality,
         rows = cols = np.zeros(0, dtype=int)
         vals = np.zeros(0)
     return SolveRequest(
-        obj=np.asarray(c, dtype=float), obj_offset=0.0,
+        obj=np.asarray(c, dtype=float),
         a_rows=rows, a_cols=cols, a_vals=vals,
         row_lb=np.asarray(row_lb, dtype=float),
         row_ub=np.asarray(row_ub, dtype=float),
         var_lb=np.asarray(var_lb, dtype=float),
         var_ub=np.asarray(var_ub, dtype=float),
         integrality=np.asarray(integrality, dtype=bool),
-        var_names=tuple(f"x{j}" for j in range(len(c))),
-        row_names=tuple(f"r{i}" for i in range(len(row_lb))),
-        name=name, params=dict(params or {}),
     )
 
 
@@ -96,17 +92,6 @@ def test_infeasible(backend):
     # row demands x >= 2 while the bound caps x at 1
     req = _request([1.0], [[1.0]], [2.0], [INF], [0.0], [1.0], [False])
     assert solve(req, backend=backend).status is SolveStatus.INFEASIBLE
-
-
-def test_objective_offset_carried():
-    req = _tiny_lp()
-    shifted = SolveRequest(
-        obj=req.obj, obj_offset=100.0, a_rows=req.a_rows, a_cols=req.a_cols,
-        a_vals=req.a_vals, row_lb=req.row_lb, row_ub=req.row_ub,
-        var_lb=req.var_lb, var_ub=req.var_ub, integrality=req.integrality,
-        var_names=req.var_names, row_names=req.row_names)
-    for backend in BACKENDS:
-        assert solve(shifted, backend=backend).objective == pytest.approx(93.0)
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +225,11 @@ def test_reference_rejects_unbounded_integer():
         solve(req, backend="reference")
 
 
-def test_backend_env_fallback(monkeypatch):
-    monkeypatch.setenv("MUNIPATH_SOLVER", "reference")
+def test_default_backend_ignores_environment(monkeypatch):
+    monkeypatch.setenv("MUNIPATH_SOLVER", "bogus")
     out = solve(_tiny_lp())
-    assert out.backend == "reference"
-    monkeypatch.delenv("MUNIPATH_SOLVER")
-    assert solve(_tiny_lp()).backend == "highs"
+    assert out.backend == "highs"
+    assert out.status is SolveStatus.OPTIMAL
 
 
 def test_unknown_backend_raises():
@@ -256,11 +240,7 @@ def test_unknown_backend_raises():
 
 def test_time_limit_param_accepted():
     for backend in BACKENDS:
-        out = solve(
-            _request([-5.0, -4.0, -3.0], [[2.0, 3.0, 1.0]], [-INF], [4.0],
-                     [0.0] * 3, [1.0] * 3, [True] * 3,
-                     params={"time_limit_s": 10.0}),
-            backend=backend)
+        out = solve(_tiny_mip(), backend=backend, params={"time_limit_s": 10.0})
         assert out.status is SolveStatus.OPTIMAL
 
 
@@ -268,7 +248,7 @@ def _tiny_mip_fixed() -> SolveRequest:
     # the knapsack with every integer column fixed at its optimum
     req = _tiny_mip()
     x = np.array([1.0, 0.0, 1.0])
-    return req.with_bounds(x, x)
+    return dataclasses.replace(req, var_lb=x, var_ub=x)
 
 
 @pytest.mark.parametrize("make_request, presolve", [
@@ -286,14 +266,13 @@ def test_highs_runs_without_sub_mip_heuristics(monkeypatch, make_request, presol
         return real_milp(*args, options=options, **kw)
 
     monkeypatch.setattr(optimize, "milp", spy)
-    req = dataclasses.replace(
-        make_request(), params={"mip_gap": 0.02, "time_limit_s": 7.5})
     with warnings.catch_warnings():
         # An option name HiGHS does not know draws a warning and is dropped.
         # A name HiGHS knows but scipy's HighsOptions binding does not expose
         # (mip_allow_restart, say) makes milp raise AttributeError instead.
         warnings.simplefilter("error")
-        out = solve(req, backend="highs")
+        out = solve(make_request(), backend="highs",
+                    params={"mip_gap": 0.02, "time_limit_s": 7.5})
     assert out.status is SolveStatus.OPTIMAL
     assert out.objective == pytest.approx(-8.0, abs=1e-9)
     (options,) = seen
@@ -311,9 +290,9 @@ def test_highs_runs_without_sub_mip_heuristics(monkeypatch, make_request, presol
 
 
 def test_linear_model_accumulates_duplicate_terms():
-    lm = LinearModel("dup")
-    x = lm.add_var("x", 0.0, 5.0)
-    r = lm.add_row("cap", -INF, 4.0)
+    lm = LinearModel()
+    x = lm.add_var(("x",), 0.0, 5.0)
+    r = lm.add_row(("cap",), -INF, 4.0)
     lm.add_term(r, x, 1.0)
     lm.add_term(r, x, 2.0)
     req = lm.build()
@@ -321,15 +300,19 @@ def test_linear_model_accumulates_duplicate_terms():
 
 
 def test_linear_model_objective_and_bounds():
-    lm = LinearModel("m")
-    x = lm.add_var("x", 0.0, 10.0)
-    y = lm.add_var("y", 0.0, 10.0, integer=True)
+    lm = LinearModel()
+    x = lm.add_var(("x",), 0.0, 10.0)
+    y = lm.add_var(("y",), 0.0, 10.0, integer=True)
     lm.add_obj(x, 2.0)
     lm.add_obj(x, 1.0)  # accumulates
     lm.add_obj(y, -3.0)
-    lm.add_constraint("tie", [(x, 1.0), (y, -1.0)], 1.0, 1.0)
+    tie = lm.add_row(("tie",), 1.0, 1.0)
+    lm.add_term(tie, x, 1.0)
+    lm.add_term(tie, y, -1.0)
     lm.fix_var(y, 4.0)
     req = lm.build()
+    assert lm.var_keys == (("x",), ("y",))
+    assert lm.row_keys == (("tie",),)
     assert list(req.obj) == [3.0, -3.0]
     assert req.var_lb[1] == req.var_ub[1] == 4.0
     assert bool(req.integrality[1]) and not bool(req.integrality[0])
@@ -337,3 +320,13 @@ def test_linear_model_objective_and_bounds():
     assert out.status is SolveStatus.OPTIMAL
     assert out.x[0] == pytest.approx(5.0)
 
+
+
+def test_linear_model_rejects_duplicate_keys():
+    lm = LinearModel()
+    lm.add_var(("size", "pv"))
+    lm.add_row(("size", "pv"))  # rows and columns have separate key spaces
+    with pytest.raises(ValueError, match="duplicate variable"):
+        lm.add_var(("size", "pv"))
+    with pytest.raises(ValueError, match="duplicate row"):
+        lm.add_row(("size", "pv"))

@@ -22,7 +22,6 @@ from munipath.twin import (
     load_twin,
     peak_demand,
     remaining_lifetime,
-    replace_building,
     save_twin,
 )
 
@@ -351,5 +350,3 @@ def test_building_lookup_and_replacement(twin20):
     assert twin20.building(b.id) is b
     with pytest.raises(KeyError):
         twin20.building("nope")
-    swapped = replace_building(twin20, b)
-    assert swapped.to_dict() == twin20.to_dict()

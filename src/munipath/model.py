@@ -43,6 +43,10 @@ from .twin import (
 )
 
 BINARY_TOL = 1e-4
+# a solution value further outside its column bounds is a failed solve
+BOUND_TOL = 1e-6
+# solution values this close to a column bound are taken as on it
+BOUND_SNAP_TOL = 1e-9
 CLOSURE_REL_TOL = 1e-6
 
 SCOPE1_CARRIERS = ("gas", "oil", "pellets", "woodchips")
@@ -605,6 +609,13 @@ def _peak_precheck(building, cat, grid, alive, candidates, allow_plant_change):
 # Extraction and verification
 
 
+def _label(key: tuple) -> str:
+    """A column or row key as text: ``("cap", "x0:gas_boiler", 3)`` reads
+    ``cap[x0:gas_boiler,3]``."""
+    tag, *rest = key
+    return f"{tag}[{','.join(map(str, rest))}]" if rest else tag
+
+
 def _binary_value(x: np.ndarray, idx: int) -> int:
     v = float(x[idx])
     if abs(v - round(v)) > BINARY_TOL:
@@ -613,10 +624,22 @@ def _binary_value(x: np.ndarray, idx: int) -> int:
 
 
 def extract_solution(arts: ModelArtifacts, outcome: SolveOutcome) -> BuildingSolution:
-    """Interpret a solver outcome; verifies integrality and objective closure."""
+    """Interpret a solver outcome; verifies column bounds, integrality and
+    objective closure."""
     if not outcome.ok:
         raise ModelError(f"cannot extract from status {outcome.status.value}")
-    x = outcome.x
+    # HiGHS may return a column a hair outside its bounds (a zero size as
+    # -3e-12, say), which would reach the document as a negative cost:
+    # project onto the bounds and snap what lies within BOUND_SNAP_TOL of one.
+    lb, ub = arts.request.var_lb, arts.request.var_ub
+    outside = np.maximum(lb - outcome.x, outcome.x - ub)
+    if outside.max(initial=0.0) > BOUND_TOL:
+        j = int(np.argmax(outside))
+        raise ModelError(f"{_label(arts.var_keys[j])} = {outcome.x[j]:.6g} lies outside "
+                         f"its bounds [{lb[j]}, {ub[j]}]")
+    x = np.clip(outcome.x, lb, ub)
+    x = np.where(np.abs(x - lb) <= BOUND_SNAP_TOL, lb, x)
+    x = np.where(np.abs(ub - x) <= BOUND_SNAP_TOL, ub, x)
     w = arts.grid.step_weights()
 
     # objective closure against the coefficient tables
@@ -730,13 +753,6 @@ def extract_solution(arts: ModelArtifacts, outcome: SolveOutcome) -> BuildingSol
         model_options=dict(arts.options),
         x=np.asarray(x, dtype=float),
     )
-
-
-def _label(key: tuple) -> str:
-    """A column or row key as text: ``("cap", "x0:gas_boiler", 3)`` reads
-    ``cap[x0:gas_boiler,3]``."""
-    tag, *rest = key
-    return f"{tag}[{','.join(map(str, rest))}]" if rest else tag
 
 
 def check_solution(arts: ModelArtifacts, x: np.ndarray,

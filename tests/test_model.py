@@ -162,11 +162,33 @@ def test_extraction_rejects_fractional_binaries(cat, scen):
     arts = build_toy_model(building, toy_cat, grid, size_grid, scen)
     outcome = solve(arts.request)
     x = np.array(outcome.x)
-    var_idx = [i for i, k in enumerate(arts.var_keys) if k[0] == "variant"]
+    # an admissible variant, so 0.5 lies within its bounds
+    var_idx = [i for i, k in enumerate(arts.var_keys)
+               if k[0] == "variant" and arts.request.var_ub[i] == 1.0]
     x[var_idx[0]] = 0.5
     bad = dataclasses.replace(outcome, x=x, objective=None)
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="fractional"):
         extract_solution(arts, bad)
+
+
+def test_extraction_projects_round_off_onto_bounds(cat, scen):
+    rng = np.random.default_rng(21)
+    building, toy_cat, grid, size_grid = make_toy_instance(rng, cat)
+    arts = build_toy_model(building, toy_cat, grid, size_grid, scen)
+    outcome = solve(arts.request)
+    clean = extract_solution(arts, outcome)
+    unused = [j for j, k in enumerate(arts.var_keys)
+              if k[0] == "size" and outcome.x[j] == 0.0 and arts.cost_capex[j] > 0.0]
+    assert unused, "the toy optimum installs every candidate"
+    x = np.array(outcome.x)
+    x[unused[0]] = -3e-12  # as HiGHS may return a zero-valued column
+    noisy = extract_solution(arts, dataclasses.replace(outcome, x=x))
+    assert noisy.breakdown.capex == clean.breakdown.capex
+    assert noisy.breakdown.capex >= 0.0
+    assert noisy.x[unused[0]] == 0.0
+    x[unused[0]] = -1e-3  # far beyond round-off: the solve is not trusted
+    with pytest.raises(ModelError, match="outside its bounds"):
+        extract_solution(arts, dataclasses.replace(outcome, x=x))
 
 
 # ---------------------------------------------------------------------------

@@ -265,7 +265,9 @@ class CostBreakdown:
 
     ``objective`` reproduces the solved objective: investment net of
     subsidies plus operation plus removal, minus the value still bound in
-    kept plant.
+    kept plant.  The building model keeps its per-column coefficients in
+    one whose fields are arrays, so this is also where its cost objective
+    is defined.
     """
 
     capex: float = 0.0
@@ -323,11 +325,9 @@ def variant_delta_factor(cat: Catalog, from_index: int, to_index: int, vector: s
             / variant_heat_factor(cat, from_index, vector))
 
 
-def variant_cost(cat: Catalog, building: Building, variant_index: int,
-                 from_index: int | None = None) -> float:
+def variant_cost(cat: Catalog, building: Building, variant_index: int) -> float:
     """One-time cost of the components the variant adds over the current state."""
-    if from_index is None:
-        from_index = building.refurb_state.variant_index
+    from_index = building.refurb_state.variant_index
     added = variant_index & ~from_index
     if variant_index & from_index != from_index:
         raise ValueError(f"variant {variant_index} drops already refurbished components")

@@ -11,7 +11,7 @@ plant and dismantling costs on removed plant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -62,11 +62,10 @@ class ModelError(Exception):
 class InfeasibleBuildingError(ModelError):
     """No admissible plan can serve the building's demand."""
 
-    def __init__(self, building_id: str, reason: str, details: dict | None = None):
+    def __init__(self, building_id: str, reason: str):
         super().__init__(f"building {building_id!r}: {reason}")
         self.building_id = building_id
         self.reason = reason
-        self.details = details or {}
 
 
 @dataclass(frozen=True)
@@ -86,38 +85,20 @@ class ModelArtifacts:
     request: SolveRequest
     building: Building
     catalog: Catalog
-    scenario: ScenarioFrame
     grid: TimeGrid
     target_year: int
-    period_years: int
-    objective_mode: str
     options: dict
     alive: list[TechnologyInstance]
     units: list[_Unit]
     # the builder's key of each column and row, in index order
     var_keys: tuple[tuple, ...]
     row_keys: tuple[tuple, ...]
-    # per-variable annual coefficient tables (EUR/yr resp. kgCO2eq/yr per unit)
-    cost_capex: np.ndarray = field(repr=False, default=None)
-    cost_subsidy: np.ndarray = field(repr=False, default=None)
-    cost_opex: np.ndarray = field(repr=False, default=None)
-    cost_dec: np.ndarray = field(repr=False, default=None)
-    cost_resid: np.ndarray = field(repr=False, default=None)
-    em_scope1: np.ndarray = field(repr=False, default=None)
-    em_scope2: np.ndarray = field(repr=False, default=None)
-    em_scope3: np.ndarray = field(repr=False, default=None)
-    domain: list[str] = field(default_factory=list)
-
-    def objective_vector(self) -> np.ndarray:
-        cost = (self.cost_capex - self.cost_subsidy + self.cost_opex
-                + self.cost_dec - self.cost_resid)
-        emis = self.em_scope1 + self.em_scope2 + self.em_scope3
-        if self.objective_mode == "cost":
-            return cost
-        if self.objective_mode == "emission":
-            return emis
-        co2 = self.scenario.co2_price_at(self.target_year) / 1000.0  # EUR per kg
-        return cost + co2 * emis
+    # the accounts of each column per unit of its value: costs in EUR/yr,
+    # one array per CostBreakdown field; scope 1, 2 and 3 emissions in
+    # kgCO2eq/yr, shape (3, n); the domain its costs are reported under
+    costs: CostBreakdown = field(repr=False)
+    scopes: np.ndarray = field(repr=False)
+    domain: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -229,8 +210,6 @@ def build_model(
     for spec in candidates:
         units.append(_Unit(key=f"n:{spec.id}", spec=spec, existing=None, cap=None))
 
-    _peak_precheck(building, cat, grid, alive, candidates, allow_plant_change)
-
     base: dict[str, np.ndarray] = {}
     for vector, prof in building.demand.items():
         base[vector] = prof.as_array()
@@ -240,28 +219,15 @@ def build_model(
     admissible = sorted(admissible_refurb_variants(building)) if allow_refurb else [current_ir]
 
     m = LinearModel()
-    cost_capex: list[float] = []
-    cost_subsidy: list[float] = []
-    cost_opex: list[float] = []
-    cost_dec: list[float] = []
-    cost_resid: list[float] = []
-    em1: list[float] = []
-    em2: list[float] = []
-    em3: list[float] = []
+    # one row per column: the CostBreakdown fields in order, then scopes 1-3
+    accounts: list[tuple[float, ...]] = []
     domain: list[str] = []
 
     def new_var(key, *, lb=0.0, ub=math.inf, integer=False, dom="heat",
                 capex=0.0, subsidy=0.0, opex=0.0, dec=0.0, resid=0.0,
                 s1=0.0, s2=0.0, s3=0.0) -> int:
         idx = m.add_var(key, lb=lb, ub=ub, integer=integer)
-        cost_capex.append(capex)
-        cost_subsidy.append(subsidy)
-        cost_opex.append(opex)
-        cost_dec.append(dec)
-        cost_resid.append(resid)
-        em1.append(s1)
-        em2.append(s2)
-        em3.append(s3)
+        accounts.append((capex, subsidy, opex, dec, resid, s1, s2, s3))
         domain.append(dom)
         return idx
 
@@ -545,10 +511,19 @@ def build_model(
         m.add_term(r_el[s], v_exp[s], -1.0)
 
     # -- objective -------------------------------------------------------------
-    arts = ModelArtifacts(
-        request=None, building=building, catalog=cat, scenario=scenario, grid=grid,
-        target_year=target_year, period_years=period_years,
-        objective_mode=objective_mode,
+    table = np.array(accounts, dtype=float).T.copy()  # one contiguous row per account
+    costs = CostBreakdown(*table[:5])
+    scopes = table[5:]
+    if objective_mode == "cost":
+        obj = costs.objective
+    elif objective_mode == "emission":
+        obj = scopes.sum(axis=0)
+    else:
+        co2 = scenario.co2_price_at(target_year) / 1000.0  # EUR per kg
+        obj = costs.objective + co2 * scopes.sum(axis=0)
+    return ModelArtifacts(
+        request=m.build(obj), building=building, catalog=cat, grid=grid,
+        target_year=target_year,
         options={
             "objective_mode": objective_mode,
             "allow_refurb": allow_refurb,
@@ -557,52 +532,8 @@ def build_model(
             "size_grid": {k: tuple(v) for k, v in size_grid.items()},
         },
         alive=alive, units=units, var_keys=m.var_keys, row_keys=m.row_keys,
-        cost_capex=np.array(cost_capex), cost_subsidy=np.array(cost_subsidy),
-        cost_opex=np.array(cost_opex), cost_dec=np.array(cost_dec),
-        cost_resid=np.array(cost_resid),
-        em_scope1=np.array(em1), em_scope2=np.array(em2), em_scope3=np.array(em3),
-        domain=domain,
+        costs=costs, scopes=scopes, domain=np.array(domain),
     )
-    obj_vec = arts.objective_vector()
-    for j in range(m.n_vars):
-        if obj_vec[j]:
-            m.add_obj(j, float(obj_vec[j]))
-    arts.request = m.build()
-    return arts
-
-
-def _peak_precheck(building, cat, grid, alive, candidates, allow_plant_change):
-    """Cheap necessary condition: enough heat capacity is reachable at all."""
-    h = grid.hours_per_step
-    sh = building.demand.get("space_heat")
-    hw = building.demand.get("hot_water")
-    if sh is None and hw is None:
-        return
-    arr = np.zeros(grid.steps)
-    if sh is not None:
-        arr = arr + sh.as_array()
-    if hw is not None:
-        arr = arr + hw.as_array()
-    # the mildest admissible variant scales demand down the most
-    best = 1.0
-    for ir in admissible_refurb_variants(building):
-        f = variant_delta_factor(cat, building.refurb_state.variant_index, ir, "space_heat")
-        best = min(best, f)
-    peak_kw = float(arr.max()) * best / h
-    def firm_heat(spec: TechnologySpec) -> bool:
-        return spec.is_heat_converter and spec.carrier != "solar"
-
-    supply = sum(inst.size for inst in alive if firm_heat(cat.tech(inst.tech_id)))
-    if allow_plant_change:
-        supply += sum(
-            (spec.max_size if math.isfinite(spec.max_size) else 1e6)
-            for spec in candidates if firm_heat(spec))
-    if supply + 1e-9 < peak_kw:
-        raise InfeasibleBuildingError(
-            building.id,
-            f"peak heat demand {peak_kw:.1f} kW exceeds reachable capacity {supply:.1f} kW",
-            {"peak_kw": peak_kw, "capacity_kw": supply},
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +573,8 @@ def extract_solution(arts: ModelArtifacts, outcome: SolveOutcome) -> BuildingSol
     x = np.where(np.abs(ub - x) <= BOUND_SNAP_TOL, ub, x)
     w = arts.grid.step_weights()
 
-    # objective closure against the coefficient tables
-    recon = float(arts.objective_vector() @ x)
+    # objective closure against the request's objective
+    recon = float(arts.request.obj @ x)
     if outcome.objective is not None:
         scale = max(1.0, abs(outcome.objective))
         if abs(recon - outcome.objective) > CLOSURE_REL_TOL * scale * 10:
@@ -700,30 +631,14 @@ def extract_solution(arts: ModelArtifacts, outcome: SolveOutcome) -> BuildingSol
     if pv_gen > 1e-9:
         self_consumption = float(np.clip((pv_gen - export) / pv_gen, 0.0, 1.0))
 
-    breakdown = CostBreakdown(
-        capex=float(arts.cost_capex @ x),
-        capex_subsidy=float(arts.cost_subsidy @ x),
-        opex=float(arts.cost_opex @ x),
-        deconstruction=float(arts.cost_dec @ x),
-        residual_value=float(arts.cost_resid @ x),
-    )
+    # each total is its own account @ x: one (k, n) @ x product rounds differently
+    accounts = [getattr(arts.costs, f.name) for f in fields(CostBreakdown)]
+    breakdown = CostBreakdown(*(float(acc @ x) for acc in accounts))
     by_domain: dict[str, CostBreakdown] = {}
-    dom_arr = np.array(arts.domain)
     for dom in ("heat", "electricity", "refurbishment"):
-        mask = (dom_arr == dom).astype(float)
-        by_domain[dom] = CostBreakdown(
-            capex=float((arts.cost_capex * mask) @ x),
-            capex_subsidy=float((arts.cost_subsidy * mask) @ x),
-            opex=float((arts.cost_opex * mask) @ x),
-            deconstruction=float((arts.cost_dec * mask) @ x),
-            residual_value=float((arts.cost_resid * mask) @ x),
-        )
-
-    emissions = {
-        "scope1": float(arts.em_scope1 @ x),
-        "scope2": float(arts.em_scope2 @ x),
-        "scope3": float(arts.em_scope3 @ x),
-    }
+        mask = (arts.domain == dom).astype(float)
+        by_domain[dom] = CostBreakdown(*(float((acc * mask) @ x) for acc in accounts))
+    emissions = {f"scope{k}": float(row @ x) for k, row in enumerate(arts.scopes, 1)}
     emissions["total"] = emissions["scope1"] + emissions["scope2"] + emissions["scope3"]
 
     eff = effective_demand(arts.building, variant_index, arts.catalog)

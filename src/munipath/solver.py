@@ -5,22 +5,9 @@ matrix, row and column bounds, integrality.  ``solve(request, backend,
 params)`` takes the backend and the settings (MIP gap, time limit).  Two
 backends sit behind it:
 
-* ``highs``: scipy's interface to the HiGHS MILP solver, the default.
-  It runs with the RENS, RINS, root reduced-cost and feasibility-jump
-  heuristics switched off: on the per-building models (about 30
-  binaries) they find nothing that branch and bound does not, and
-  feasibility jump alone took over 40 % of the time of the solves whose
-  integers are all fixed.  The root reduced-cost heuristic is a sub-MIP:
-  without it the 23 free MILPs and re-solves of the benchmark fixtures
-  replayed in 3.66 s against 4.69 s (median of 6 interleaved rounds),
-  same optima, with 244 branch-and-bound nodes against 45.  Presolve
-  runs only when no integer column is free.  On a free per-building MILP
-  it restarts the root search several times: the 23 free MILPs of the
-  benchmark fixtures took 4.8 s without it and 7.4 s with it, same
-  optima.  The 21 models whose integers are all fixed (status quo, frozen
-  plan) keep it (0.100 s with it, 0.111 s without).  Restarts cannot be
-  switched off on their own, because scipy's HiGHS binding does not
-  expose ``mip_allow_restart``.  Measured with scipy 1.17.1, HiGHS 1.12.0.
+* ``highs``: scipy's interface to the HiGHS MILP solver, the default,
+  with the settings (and the measurements behind them) given beside its
+  options in ``_solve_highs``.
 * ``reference``: a self-contained dense two-phase primal simplex plus
   branch and bound.  Slow but transparent; every LP solve is certified
   against its dual, so it doubles as the trust anchor in tests.
@@ -47,6 +34,9 @@ INF = math.inf
 MAX_REFERENCE_INTEGERS = 60
 
 DUALITY_TOL = 1e-7
+
+# The reference branch and bound takes a value this close to an integer as one.
+INTEGRALITY_TOL = 1e-6
 
 # Relative MIP gap when ``solve``'s params give none.
 DEFAULT_MIP_GAP = 1e-6
@@ -143,7 +133,6 @@ class LinearModel:
         self._var_index: dict[Hashable, int] = {}
         self._lb: list[float] = []
         self._ub: list[float] = []
-        self._obj: list[float] = []
         self._integer: list[bool] = []
         self._row_index: dict[Hashable, int] = {}
         self._row_lb: list[float] = []
@@ -161,7 +150,7 @@ class LinearModel:
     # -- variables ----------------------------------------------------------
 
     def add_var(self, key: Hashable, lb: float = 0.0, ub: float = INF,
-                obj: float = 0.0, integer: bool = False) -> int:
+                integer: bool = False) -> int:
         if key in self._var_index:
             raise ValueError(f"duplicate variable {key!r}")
         if lb > ub:
@@ -170,12 +159,8 @@ class LinearModel:
         self._var_index[key] = idx
         self._lb.append(float(lb))
         self._ub.append(float(ub))
-        self._obj.append(float(obj))
         self._integer.append(bool(integer))
         return idx
-
-    def add_obj(self, var: int, delta: float) -> None:
-        self._obj[var] += float(delta)
 
     def fix_var(self, var: int, value: float) -> None:
         self._lb[var] = float(value)
@@ -208,13 +193,17 @@ class LinearModel:
 
     # -- assembly -----------------------------------------------------------
 
-    def build(self) -> SolveRequest:
+    def build(self, obj: np.ndarray) -> SolveRequest:
+        """The request minimizing ``obj``, one coefficient per column."""
+        obj = np.asarray(obj, dtype=float)
+        if obj.shape != (self.n_vars,):
+            raise ValueError(f"objective of shape {obj.shape} for {self.n_vars} columns")
         keys = sorted(self._terms)
         rows = np.array([k[0] for k in keys], dtype=np.int64)
         cols = np.array([k[1] for k in keys], dtype=np.int64)
         vals = np.array([self._terms[k] for k in keys], dtype=float)
         return SolveRequest(
-            obj=np.array(self._obj, dtype=float),
+            obj=obj,
             a_rows=rows, a_cols=cols, a_vals=vals,
             row_lb=np.array(self._row_lb, dtype=float),
             row_ub=np.array(self._row_ub, dtype=float),
@@ -233,8 +222,7 @@ def solve(request: SolveRequest, backend: str | None = None,
     """Solve a request with a backend (``None`` means ``highs``).
 
     ``params`` may give ``mip_gap`` (relative, default ``DEFAULT_MIP_GAP``)
-    and ``time_limit_s`` (per solve, default none).  The reference backend
-    also reads ``integrality_tol``.
+    and ``time_limit_s`` (per solve, default none).
     """
     params = params or {}
     if backend is None or backend == "highs":
@@ -260,23 +248,25 @@ def _solve_highs(request: SolveRequest, p: dict) -> SolveOutcome:
     from scipy import optimize, sparse
 
     t0 = time.monotonic()
-    # Presolve only where no integer column is free (status-quo and
-    # frozen-plan models, LPs in all but name).  With a free integer column
-    # it restarts the root search several times on the per-building MILPs:
-    # 7.4 s with it against 4.8 s without for the 23 free MILPs of the
-    # benchmark fixtures, same optima (scipy 1.17.1, HiGHS 1.12.0).
+    # Measured on the benchmark fixtures (two 5-building stocks) with scipy
+    # 1.17.1 and HiGHS 1.12.0; every setting left the optima unchanged.
+    # * Presolve runs only where no integer column is free (status-quo and
+    #   frozen-plan models, LPs in all but name: 0.100 s for their 21 solves
+    #   with it, 0.111 s without).  On a free per-building MILP it restarts
+    #   the root search several times: the 23 free MILPs took 7.4 s with it
+    #   and 4.8 s without.  Restarts cannot be switched off on their own,
+    #   because scipy's HiGHS binding does not expose mip_allow_restart.
+    # * The RENS, RINS, root reduced-cost and feasibility-jump heuristics
+    #   (HiGHS names outside milp's documented set) pay off on hard MILPs,
+    #   not on these models of about 30 binaries, where they find nothing
+    #   branch and bound does not.  Feasibility jump took over 40 % of the
+    #   fixed-integer solve time.  Without the root reduced-cost sub-MIP the
+    #   free MILPs and re-solves replayed in 3.66 s against 4.69 s (median of
+    #   6 interleaved rounds), with 244 branch-and-bound nodes against 45.
     free_integers = request.integrality & (request.var_lb < request.var_ub)
     options = {
         "mip_rel_gap": float(p.get("mip_gap", DEFAULT_MIP_GAP)),
         "presolve": not free_integers.any(),
-        # HiGHS names outside milp's documented set: the sub-MIP heuristics
-        # and feasibility jump pay off on hard MILPs, not on the small
-        # per-building models, where they find nothing branch and bound does
-        # not (feasibility jump took over 40 % of the fixed-integer solve
-        # time).  Without the root reduced-cost sub-MIP, the 23 free MILPs
-        # and re-solves of the benchmark fixtures replayed in 3.66 s against
-        # 4.69 s, same optima.  Restarts cannot be switched off on their
-        # own: scipy's HighsOptions binding lacks mip_allow_restart.
         "mip_heuristic_run_rens": False,
         "mip_heuristic_run_rins": False,
         "mip_heuristic_run_root_reduced_cost": False,
@@ -639,7 +629,6 @@ def _branch_and_bound(request: SolveRequest, p: dict, int_idx: np.ndarray,
     import heapq
 
     mip_gap = float(p.get("mip_gap", DEFAULT_MIP_GAP))
-    int_tol = float(p.get("integrality_tol", 1e-6))
     time_limit = p.get("time_limit_s")
 
     incumbent_x = None
@@ -660,7 +649,7 @@ def _branch_and_bound(request: SolveRequest, p: dict, int_idx: np.ndarray,
     timed_out = False
 
     def integral(xv) -> bool:
-        return all(abs(xv[j] - round(xv[j])) <= int_tol for j in int_idx)
+        return all(abs(xv[j] - round(xv[j])) <= INTEGRALITY_TOL for j in int_idx)
 
     def accept(xv, lb, ub):
         nonlocal incumbent_x, incumbent_obj
@@ -689,7 +678,7 @@ def _branch_and_bound(request: SolveRequest, p: dict, int_idx: np.ndarray,
         for j in int_idx:
             f = abs(x_rel[j] - round(x_rel[j]))
             dist = min(x_rel[j] - math.floor(x_rel[j]), math.ceil(x_rel[j]) - x_rel[j])
-            if f <= int_tol:
+            if f <= INTEGRALITY_TOL:
                 continue
             if dist > frac_val + 1e-12:
                 frac_j, frac_val = int(j), dist

@@ -369,18 +369,16 @@ def _validate_building(b: Building, grid: TimeGrid) -> None:
             bad("installed", f"instance {inst.tech_id}: size must be > 0, got {inst.size}")
 
 
-def load_twin(source, base_dir: str | None = None) -> EnergyTwin:
+def load_twin(source) -> EnergyTwin:
     """Parse and validate a twin document.
 
     ``source`` is any form ``docio.read_text`` takes.  Sidecar CSV profile
     references resolve relative to the document path.
     """
     try:
-        text, inferred_dir = read_text(source)
+        text, base_dir = read_text(source)
     except OSError as exc:
         raise TwinParseError(f"cannot read twin document: {exc}") from exc
-    if base_dir is None:
-        base_dir = inferred_dir
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -150,23 +150,21 @@ def _demo_building() -> Building:
 
 def test_variant_cost_charges_added_components_only(cat):
     b = _demo_building()
-    # rebuilding from state roof=1: variant 3 adds only the wall
+    # the building has its roof (variant 1): variant 3 adds only the wall
     wall = cat.refurb["wall"]
     expected = wall.cost_per_m2 * wall.area(b)
-    assert variant_cost(cat, b, 3, 1) == pytest.approx(expected)
-    # the already-done roof never bills again
-    assert variant_cost(cat, b, 1, 1) == 0.0
-    # default from-state is the building's own state
     assert variant_cost(cat, b, 3) == pytest.approx(expected)
+    # the already-done roof never bills again
+    assert variant_cost(cat, b, 1) == 0.0
     with pytest.raises(ValueError):
-        variant_cost(cat, b, 0, 1)  # would drop the roof
+        variant_cost(cat, b, 0)  # would drop the roof
 
 
 def test_variant_cost_full_envelope_sums_components(cat):
     b = _demo_building()
     total = sum(cat.refurb[n].cost_per_m2 * cat.refurb[n].area(b)
                 for n in COMPONENTS if n != "roof")
-    assert variant_cost(cat, b, 15, 1) == pytest.approx(total)
+    assert variant_cost(cat, b, 15) == pytest.approx(total)
 
 
 def test_effective_demand_identity_and_scaling(cat):

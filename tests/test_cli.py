@@ -285,11 +285,20 @@ def test_unsolvable_stock_exits_3(tmp_path):
     assert "solver failure" in res.stderr
 
 
-def test_backend_flag_wins_over_env(twin2, tmp_path):
-    res = run_cli("pathway", str(twin2), "--periods", "2023,2030",
-                  "--out-dir", str(tmp_path / "out"), "--workers", "1",
-                  "--backend", "highs", env_extra={"MUNIPATH_SOLVER": "bogus"})
-    assert res.returncode == 0, res.stderr
+def test_backend_flag_reaches_every_solve(twin2, tmp_path, monkeypatch):
+    backends = []
+    real_solve = model.solve
+
+    def recording_solve(request, backend=None, params=None):
+        backends.append(backend)
+        return real_solve(request, backend=backend, params=params)
+
+    monkeypatch.setattr(model, "solve", recording_solve)
+    code = cli.main(["pathway", str(twin2), "--periods", "2023,2030",
+                     "--out-dir", str(tmp_path / "out"), "--workers", "1",
+                     "--backend", "highs"])
+    assert code == 0
+    assert backends and set(backends) == {"highs"}
 
 
 @pytest.mark.parametrize("periods", ["2023", "2030,2023", "2023,2023"])

@@ -178,7 +178,7 @@ def test_extraction_projects_round_off_onto_bounds(cat, scen):
     outcome = solve(arts.request)
     clean = extract_solution(arts, outcome)
     unused = [j for j, k in enumerate(arts.var_keys)
-              if k[0] == "size" and outcome.x[j] == 0.0 and arts.cost_capex[j] > 0.0]
+              if k[0] == "size" and outcome.x[j] == 0.0 and arts.costs.capex[j] > 0.0]
     assert unused, "the toy optimum installs every candidate"
     x = np.array(outcome.x)
     x[unused[0]] = -3e-12  # as HiGHS may return a zero-valued column
@@ -195,17 +195,33 @@ def test_extraction_projects_round_off_onto_bounds(cat, scen):
 # Infeasibility surfaces
 
 
-def test_precheck_rejects_undersized_frozen_plant(cat, scen):
+def test_undersized_frozen_plant_is_infeasible(cat, scen):
     b = _boiler_building(annual_heat_kwh=10.0e6)  # far beyond 10 kW of boiler
     with pytest.raises(InfeasibleBuildingError) as err:
         _frozen(b, cat, scen)
     assert err.value.building_id == "hand"
 
 
-def test_precheck_rejects_missing_plant(cat, scen):
+def test_missing_plant_is_infeasible(cat, scen):
     b = dataclasses.replace(_boiler_building(), installed=())
     with pytest.raises(InfeasibleBuildingError):
         _frozen(b, cat, scen)
+
+
+def test_buffered_boiler_covers_a_peak_above_its_nameplate(cat, scen):
+    # 120 kWh, then 0 kWh, in two 12-hour steps: the 10 kW peak exceeds the
+    # 6 kW boiler, and the buffer tank charged in the quiet step covers it
+    grid = TimeGrid(720, ((15, 365.0),))
+    b = dataclasses.replace(
+        _boiler_building(), demand={"space_heat": DemandProfile((120.0, 0.0), 720)},
+        installed=(TechnologyInstance("gas_boiler", 6.0, 2015),
+                   TechnologyInstance("buffer_tank", 100.0, 2015)))
+    arts, outcome, _ = optimize_building(
+        b, cat, scen, grid, target_year=2030, period_years=7,
+        allow_refurb=True, allow_plant_change=False)
+    value = dict(zip(arts.var_keys, outcome.x))
+    assert value[("out", "x0:gas_boiler", 0)] == pytest.approx(72.0)
+    assert value[("dis", "x1:buffer_tank", 0)] == pytest.approx(48.0)
 
 
 def test_invalid_options_raise(cat, scen):

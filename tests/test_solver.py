@@ -295,7 +295,7 @@ def test_linear_model_accumulates_duplicate_terms():
     r = lm.add_row(("cap",), -INF, 4.0)
     lm.add_term(r, x, 1.0)
     lm.add_term(r, x, 2.0)
-    req = lm.build()
+    req = lm.build([0.0])
     assert req.dense_matrix()[0, 0] == pytest.approx(3.0)
 
 
@@ -303,14 +303,13 @@ def test_linear_model_objective_and_bounds():
     lm = LinearModel()
     x = lm.add_var(("x",), 0.0, 10.0)
     y = lm.add_var(("y",), 0.0, 10.0, integer=True)
-    lm.add_obj(x, 2.0)
-    lm.add_obj(x, 1.0)  # accumulates
-    lm.add_obj(y, -3.0)
     tie = lm.add_row(("tie",), 1.0, 1.0)
     lm.add_term(tie, x, 1.0)
     lm.add_term(tie, y, -1.0)
     lm.fix_var(y, 4.0)
-    req = lm.build()
+    with pytest.raises(ValueError, match="objective"):
+        lm.build([3.0])  # one coefficient per column
+    req = lm.build([3.0, -3.0])
     assert lm.var_keys == (("x",), ("y",))
     assert lm.row_keys == (("tie",),)
     assert list(req.obj) == [3.0, -3.0]

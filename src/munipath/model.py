@@ -679,44 +679,50 @@ def check_solution(arts: ModelArtifacts, x: np.ndarray,
     parallel-measure cap, all balances, and storage consistency.
     """
     req = arts.request
-    violations: list[str] = []
     x = np.asarray(x, dtype=float)
-    activity = req.row_activity(x)
+    act = req.row_activity(x)
+    lo, hi = req.row_lb, req.row_ub
 
     gross = np.zeros(req.n_rows)
     np.add.at(gross, req.a_rows, np.abs(req.a_vals * x[req.a_cols]))
+    scale = np.maximum(np.maximum(1.0, gross), np.where(np.isfinite(lo), np.abs(lo), 0.0))
+    slack = np.maximum(1e-7, rel_tol * scale)
 
-    for ridx, kind in enumerate(arts.row_keys):
-        tag = kind[0]
-        act = float(activity[ridx])
-        lo, hi = float(req.row_lb[ridx]), float(req.row_ub[ridx])
-        scale = max(1.0, float(gross[ridx]), abs(lo) if math.isfinite(lo) else 0.0)
+    tags = np.array([key[0] for key in arts.row_keys], dtype=object)
+    balance = np.isin(tags, ("balance", "fuel"))
+    area = np.isin(tags, ("roof_area", "open_space_area"))
+    residual = np.abs(act - lo)
+    broken = np.select(
+        [balance, tags == "soc_tr", area, tags == "parallel_limit",
+         tags == "keepdrop", tags == "variant_choice"],
+        [residual > rel_tol * scale,
+         residual > soc_tol_kwh,
+         act > hi + 1e-7 * scale,
+         act > hi + 1e-7,
+         residual > 1e-6,
+         np.abs(act - 1.0) > 1e-6],
+        default=(act < lo - slack) | (act > hi + slack))
+
+    violations: list[str] = []
+    for ridx in np.flatnonzero(broken):
+        key = arts.row_keys[ridx]
+        tag, a, l, h = key[0], float(act[ridx]), float(lo[ridx]), float(hi[ridx])
         if tag in ("balance", "fuel", "soc_tr"):
-            tol = soc_tol_kwh if tag == "soc_tr" else rel_tol * scale
-            if abs(act - lo) > tol:
-                violations.append(f"{_label(kind)}: residual {act - lo:.3e}")
+            violations.append(f"{_label(key)}: residual {a - l:.3e}")
         elif tag in ("roof_area", "open_space_area"):
-            if act > hi + 1e-7 * scale:
-                violations.append(f"{tag}: used {act:.6f} exceeds {hi:.6f}")
+            violations.append(f"{tag}: used {a:.6f} exceeds {h:.6f}")
         elif tag == "parallel_limit":
-            if act > hi + 1e-7:
-                violations.append(f"parallel_limit: {act:.6f} > {hi:.6f}")
+            violations.append(f"parallel_limit: {a:.6f} > {h:.6f}")
         elif tag == "keepdrop":
-            if abs(act - lo) > 1e-6:
-                violations.append(f"{_label(kind)}: sum {act:.8f} != {lo}")
+            violations.append(f"{_label(key)}: sum {a:.8f} != {l}")
         elif tag == "variant_choice":
-            if abs(act - 1.0) > 1e-6:
-                violations.append(f"variant_choice: sum {act:.8f} != 1")
+            violations.append(f"variant_choice: sum {a:.8f} != 1")
         else:
-            if act < lo - max(1e-7, rel_tol * scale) or act > hi + max(1e-7, rel_tol * scale):
-                violations.append(
-                    f"{_label(kind)}: activity {act:.6e} outside [{lo}, {hi}]")
+            violations.append(f"{_label(key)}: activity {a:.6e} outside [{l}, {h}]")
 
-    for idx, kind in enumerate(arts.var_keys):
-        if kind[0] == "soc":
-            v = float(x[idx])
-            if v < -soc_tol_kwh:
-                violations.append(f"{_label(kind)}: negative charge {v:.3e}")
+    for idx, key in enumerate(arts.var_keys):
+        if key[0] == "soc" and x[idx] < -soc_tol_kwh:
+            violations.append(f"{_label(key)}: negative charge {float(x[idx]):.3e}")
     return violations
 
 
@@ -745,4 +751,9 @@ def optimize_building(
             f"building {building.id!r}: solver ended with {outcome.status.value}: "
             f"{outcome.message}")
     solution = extract_solution(arts, outcome)
+    violations = check_solution(arts, solution.x)
+    if violations:
+        raise ModelError(
+            f"building {building.id!r}: the {outcome.status.value} solution breaks "
+            f"{len(violations)} row(s), first {violations[0]}")
     return arts, outcome, solution

@@ -28,6 +28,7 @@ from .model import (
     optimize_building,
 )
 from .scenario import ScenarioFrame, cumulative_quota, retrofit_budgets
+from .solver import load_highs
 from .twin import (
     Building,
     DemandProfile,
@@ -263,10 +264,9 @@ def _solve_all(tasks: list[_Task], workers: int) -> list[_BuildingOutcome]:
     n = min(workers, len(tasks))
     if n <= 1:
         return [_solve_one(t) for t in tasks]
-    # Forked workers inherit the parent's modules: importing the HiGHS
-    # backend's scipy modules (about 0.5 s) here spares every worker of
-    # every pool from importing them again.
-    import scipy.optimize  # noqa: F401
+    # Forked workers inherit the parent's modules: loading the HiGHS
+    # extension here spares every worker of every pool from loading it.
+    load_highs()
     with ProcessPoolExecutor(max_workers=n) as pool:
         return list(pool.map(_solve_one, tasks))
 

@@ -5,9 +5,12 @@ matrix, row and column bounds, integrality.  ``solve(request, backend,
 params)`` takes the backend and the settings (MIP gap, time limit).  Two
 backends sit behind it:
 
-* ``highs``: scipy's interface to the HiGHS MILP solver, the default,
-  with the settings (and the measurements behind them) given beside its
-  options in ``_solve_highs``.
+* ``highs``: the HiGHS MILP solver, the default.  It runs through the
+  extension module that scipy bundles, which ``load_highs`` loads from its
+  file at the first solve, so ``scipy.optimize`` and ``scipy.sparse`` are
+  never imported.  Presolve is on and restarts are off; these settings,
+  and the measurements behind them, are given beside its options in
+  ``_solve_highs``.
 * ``reference``: a self-contained dense two-phase primal simplex plus
   branch and bound.  Slow but transparent; every LP solve is certified
   against its dual, so it doubles as the trust anchor in tests.
@@ -19,10 +22,13 @@ All problems are minimization.  Row activities are two-sided
 from __future__ import annotations
 
 import enum
+import importlib.util
 import math
+import os
+import sys
 import time
-import warnings
 from collections.abc import Hashable
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,40 +239,111 @@ def solve(request: SolveRequest, backend: str | None = None,
 
 
 # ---------------------------------------------------------------------------
-# HiGHS backend (scipy)
+# HiGHS backend (scipy's bundled extension)
 
 
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+# HiGHS model statuses by name.  A time or iteration limit is FEASIBLE only
+# with an incumbent, and kUnboundedOrInfeasible is solved once more without
+# presolve before it counts as FAILED.
 _HIGHS_STATUS = {
-    0: SolveStatus.OPTIMAL,
-    1: SolveStatus.FEASIBLE,  # iteration or time limit
-    2: SolveStatus.INFEASIBLE,
-    3: SolveStatus.UNBOUNDED,
+    "kNotset": SolveStatus.FAILED,
+    "kLoadError": SolveStatus.FAILED,
+    "kModelError": SolveStatus.FAILED,
+    "kPresolveError": SolveStatus.FAILED,
+    "kSolveError": SolveStatus.FAILED,
+    "kPostsolveError": SolveStatus.FAILED,
+    "kModelEmpty": SolveStatus.FAILED,
+    "kOptimal": SolveStatus.OPTIMAL,
+    "kInfeasible": SolveStatus.INFEASIBLE,
+    "kUnboundedOrInfeasible": SolveStatus.FAILED,
+    "kUnbounded": SolveStatus.UNBOUNDED,
+    "kObjectiveBound": SolveStatus.FAILED,
+    "kObjectiveTarget": SolveStatus.FAILED,
+    "kTimeLimit": SolveStatus.FEASIBLE,
+    "kIterationLimit": SolveStatus.FEASIBLE,
+    "kUnknown": SolveStatus.FAILED,
+    "kSolutionLimit": SolveStatus.FAILED,
+    "kInterrupt": SolveStatus.FAILED,
+    "kMemoryLimit": SolveStatus.FAILED,
+    "kHighsInterrupt": SolveStatus.FAILED,
 }
 
 
-def _solve_highs(request: SolveRequest, p: dict) -> SolveOutcome:
-    from scipy import optimize, sparse
+def load_highs():
+    """scipy's bundled HiGHS extension module, loaded at the first call.
 
+    ``import scipy.optimize._highspy._core`` would run
+    ``scipy/optimize/__init__.py`` first, which costs about 0.4 s and pulls
+    in ``scipy.sparse``.  The extension is loaded from its file instead and
+    registered in ``sys.modules`` under its own name, so that a later
+    ``import scipy.optimize`` reuses it, and an entry already there (from
+    such an import) is reused here.
+    """
+    core = sys.modules.get(_HIGHS_MODULE)
+    if core is not None:
+        return core
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise SolverError("scipy, which bundles HiGHS, is not installed")
+    folder = os.path.join(spec.submodule_search_locations[0], "optimize", "_highspy")
+    paths = [os.path.join(folder, "_core" + suffix) for suffix in EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise SolverError(f"scipy's bundled HiGHS extension (_core) is not in {folder!r}")
+    loader = ExtensionFileLoader(_HIGHS_MODULE, path)
+    core = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(_HIGHS_MODULE, path, loader=loader))
+    sys.modules[_HIGHS_MODULE] = core
+    try:
+        loader.exec_module(core)
+    except ImportError as exc:
+        del sys.modules[_HIGHS_MODULE]
+        raise SolverError(f"cannot load HiGHS from {path!r}: {exc}") from exc
+    return core
+
+
+def _colwise(request: SolveRequest) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The request's matrix in column-wise form (start, index, value), with
+    repeated (row, column) pairs summed: HiGHS rejects duplicate entries."""
+    order = np.lexsort((request.a_rows, request.a_cols))
+    rows, cols = request.a_rows[order], request.a_cols[order]
+    vals = request.a_vals[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (np.diff(cols) != 0) | (np.diff(rows) != 0)
+    if not new.all():
+        first = np.flatnonzero(new)
+        rows, cols, vals = rows[first], cols[first], np.add.reduceat(vals, first)
+    start = np.searchsorted(cols, np.arange(request.n_vars))
+    return start.astype(np.int32), rows.astype(np.int32), vals.astype(float)
+
+
+def _solve_highs(request: SolveRequest, p: dict) -> SolveOutcome:
+    core = load_highs()
     t0 = time.monotonic()
     # Measured on the benchmark fixtures (two 5-building stocks) with scipy
     # 1.17.1 and HiGHS 1.12.0; every setting left the optima unchanged.
-    # * Presolve runs only where no integer column is free (status-quo and
-    #   frozen-plan models, LPs in all but name: 0.100 s for their 21 solves
-    #   with it, 0.111 s without).  On a free per-building MILP it restarts
-    #   the root search several times: the 23 free MILPs took 7.4 s with it
-    #   and 4.8 s without.  Restarts cannot be switched off on their own,
-    #   because scipy's HiGHS binding does not expose mip_allow_restart.
+    # * Presolve on and restarts off on every model.  With presolve, HiGHS
+    #   restarts the root search of a free per-building MILP several times,
+    #   which made presolve a loss at 240-minute steps (3.54 s against
+    #   3.28 s without it).  Without restarts, the 23 free MILPs and
+    #   re-solves of the benchmark fixtures replayed in 2.53 s against 2.98 s
+    #   with presolve off (215 branch-and-bound nodes against 244), and in
+    #   14.20 s against 19.20 s at 60-minute steps (363 nodes against 517).
     # * The RENS, RINS, root reduced-cost and feasibility-jump heuristics
-    #   (HiGHS names outside milp's documented set) pay off on hard MILPs,
-    #   not on these models of about 30 binaries, where they find nothing
-    #   branch and bound does not.  Feasibility jump took over 40 % of the
-    #   fixed-integer solve time.  Without the root reduced-cost sub-MIP the
-    #   free MILPs and re-solves replayed in 3.66 s against 4.69 s (median of
-    #   6 interleaved rounds), with 244 branch-and-bound nodes against 45.
-    free_integers = request.integrality & (request.var_lb < request.var_ub)
+    #   pay off on hard MILPs, not on these models of about 30 binaries,
+    #   where they find nothing branch and bound does not.  Feasibility jump
+    #   took over 40 % of the fixed-integer solve time.  Without the root
+    #   reduced-cost sub-MIP the free MILPs and re-solves replayed in 3.66 s
+    #   against 4.69 s (median of 6 interleaved rounds), with 244
+    #   branch-and-bound nodes against 45.
     options = {
+        "output_flag": False,
+        "log_to_console": False,
+        "presolve": "on",
+        "mip_allow_restart": False,
         "mip_rel_gap": float(p.get("mip_gap", DEFAULT_MIP_GAP)),
-        "presolve": not free_integers.any(),
         "mip_heuristic_run_rens": False,
         "mip_heuristic_run_rins": False,
         "mip_heuristic_run_root_reduced_cost": False,
@@ -274,42 +351,57 @@ def _solve_highs(request: SolveRequest, p: dict) -> SolveOutcome:
     }
     if p.get("time_limit_s") is not None:
         options["time_limit"] = float(p["time_limit_s"])
-    constraints = None
-    if request.n_rows:
-        a = sparse.csc_array(
-            (request.a_vals, (request.a_rows, request.a_cols)),
-            shape=(request.n_rows, request.n_vars),
-        )
-        constraints = optimize.LinearConstraint(a, request.row_lb, request.row_ub)
-    with warnings.catch_warnings():
-        # milp forwards option names it does not document to HiGHS verbatim
-        # and says so; HiGHS itself still warns about names it does not know.
-        warnings.filterwarnings(
-            "ignore", category=RuntimeWarning,
-            message="Unrecognized options detected: .* passed to HiGHS verbatim")
-        res = optimize.milp(
-            c=request.obj,
-            constraints=constraints,
-            integrality=request.integrality.astype(np.int8),
-            bounds=optimize.Bounds(request.var_lb, request.var_ub),
-            options=options,
-        )
+    # HiGHS reads a NaN or infinite cost or coefficient as some number and
+    # may call the result optimal
+    if not (np.isfinite(request.obj).all() and np.isfinite(request.a_vals).all()):
+        raise SolverError("the objective or the matrix has a non-finite coefficient")
+    highs = core._Highs()
+
+    def set_option(name, value):
+        if highs.setOptionValue(name, value) != core.HighsStatus.kOk:
+            raise SolverError(f"HiGHS refused option {name} = {value!r}")
+
+    for name, value in options.items():
+        set_option(name, value)
+    start, index, value = _colwise(request)
+    passed = highs.passModel(
+        request.n_vars, request.n_rows, len(value),
+        int(core.MatrixFormat.kColwise), int(core.ObjSense.kMinimize), 0.0,
+        request.obj, request.var_lb, request.var_ub, request.row_lb, request.row_ub,
+        start, index, value, request.integrality.astype(np.int32))
+    if passed == core.HighsStatus.kError:
+        return SolveOutcome(status=SolveStatus.FAILED, wall_time_s=time.monotonic() - t0,
+                            backend="highs", message="HiGHS rejected the model")
+    ran = highs.run()
+    model_status = highs.getModelStatus()
+    if model_status.name == "kUnboundedOrInfeasible":
+        # MIP presolve does not tell the two apart; the search without it does.
+        set_option("presolve", "off")
+        ran = highs.run()
+        model_status = highs.getModelStatus()
     wall = time.monotonic() - t0
-    status = _HIGHS_STATUS.get(res.status, SolveStatus.FAILED)
-    if status is SolveStatus.FEASIBLE and res.x is None:
+    status = _HIGHS_STATUS.get(model_status.name, SolveStatus.FAILED)
+    if ran == core.HighsStatus.kError:
         status = SolveStatus.FAILED
-    x = np.asarray(res.x, dtype=float) if res.x is not None else None
-    objective = float(res.fun) if res.fun is not None else None
-    bound = getattr(res, "mip_dual_bound", None)
-    if bound is not None:
-        bound = float(bound)
-    gap = getattr(res, "mip_gap", None)
-    nodes = getattr(res, "mip_node_count", None)
+    info = highs.getInfo()
+    is_mip = bool(request.integrality.any())
+    # an LP's solution is read only at the optimum; a MIP's at a limit too,
+    # if it has an incumbent
+    if status is SolveStatus.FEASIBLE and not (
+            is_mip and math.isfinite(info.objective_function_value)):
+        status = SolveStatus.FAILED
+    message = highs.modelStatusToString(model_status)
+    if status not in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE):
+        return SolveOutcome(status=status, wall_time_s=wall, backend="highs",
+                            message=message)
     return SolveOutcome(
-        status=status, x=x, objective=objective, bound=bound,
-        gap=float(gap) if gap is not None else None,
-        nodes=int(nodes) if nodes is not None else None,
-        wall_time_s=wall, backend="highs", message=str(res.message),
+        status=status,
+        x=np.array(highs.getSolution().col_value, dtype=float),
+        objective=float(info.objective_function_value),
+        bound=float(info.mip_dual_bound) if is_mip else None,
+        gap=float(info.mip_gap) if is_mip else None,
+        nodes=int(info.mip_node_count) if is_mip else None,
+        wall_time_s=wall, backend="highs", message=message,
     )
 
 

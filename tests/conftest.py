@@ -22,6 +22,17 @@ STAGE_YEARS = [2023, 2030, 2045]
 
 
 @pytest.fixture(scope="session")
+def child_env():
+    """The environment for a child Python process that imports this
+    checkout's munipath, whatever the working directory."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [os.path.abspath(p) for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
+@pytest.fixture(scope="session")
 def cat():
     return default_catalog()
 

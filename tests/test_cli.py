@@ -326,3 +326,50 @@ def test_pathway_bad_workers_exits_2(twin2, tmp_path, workers):
     assert res.returncode == 2
     assert "--workers" in res.stderr
     assert not (tmp_path / "out").exists()
+
+
+# Runs a pathway through cli.main and prints which of the modules that the
+# HiGHS solves no longer need were imported: in the process itself, and in
+# whichever process ran each building task.
+_IMPORTS_SCRIPT = """
+import functools, json, os, sys
+from munipath import cli, pathway
+
+UNWANTED = ("scipy.optimize", "scipy.sparse")
+solve_one, solve_all = pathway._solve_one, pathway._solve_all
+seen = []
+
+@functools.wraps(solve_one)
+def task(t):
+    outcome = solve_one(t)
+    outcome.imports = (os.getpid(), [m for m in UNWANTED if m in sys.modules])
+    return outcome
+
+def every(tasks, workers):
+    outcomes = solve_all(tasks, workers)
+    seen.extend(o.imports for o in outcomes)
+    return outcomes
+
+pathway._solve_one, pathway._solve_all = task, every
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "pid": os.getpid(), "tasks": seen,
+                  "imported": [m for m in UNWANTED if m in sys.modules]}))
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_pathway_imports_neither_scipy_optimize_nor_sparse(tmp_path, child_env, workers):
+    twin_path = tmp_path / "twin.json"
+    assert cli.main(["gen-fixture", "--out", str(twin_path), "--buildings", "2",
+                     "--seed", "11", "--resolution", "240"]) == 0
+    res = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_SCRIPT, "pathway", str(twin_path),
+         "--periods", "2023,2030", "--workers", workers, "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=child_env, timeout=300)
+    assert res.returncode == 0, res.stderr
+    run = json.loads(res.stdout.splitlines()[-1])
+    assert run["code"] == 0
+    assert run["imported"] == []
+    assert run["tasks"] and all(imported == [] for _, imported in run["tasks"])
+    in_workers = {pid for pid, _ in run["tasks"]} - {run["pid"]}
+    assert bool(in_workers) == (workers == "2")

@@ -156,6 +156,28 @@ def test_check_solution_accepts_optimum_and_flags_tampering(cat, scen):
     assert any(v.startswith(expected) for v in violations), violations
 
 
+def test_accepted_solve_is_checked_against_its_rows(cat, scen, monkeypatch):
+    # the solver claims an optimum that lets the boiler fall short of the
+    # heat demand: bounds, integrality and closure hold, the balance does not
+    import munipath.model
+
+    b = _boiler_building()
+    arts = build_model(b, cat, scen, ONE_STEP, target_year=2030, period_years=7,
+                       allow_refurb=True, allow_plant_change=False)
+    (j,) = [i for i, k in enumerate(arts.var_keys) if k[0] == "out"]
+    real_solve = munipath.model.solve
+
+    def short_of_heat(request, backend=None, params=None):
+        out = real_solve(request, backend=backend, params=params)
+        x = np.array(out.x)
+        x[j] *= 0.5
+        return dataclasses.replace(out, x=x, objective=None)
+
+    monkeypatch.setattr(munipath.model, "solve", short_of_heat)
+    with pytest.raises(ModelError, match=r"'hand'.*balance\[heat,0\]: residual"):
+        _frozen(b, cat, scen)
+
+
 def test_extraction_rejects_fractional_binaries(cat, scen):
     rng = np.random.default_rng(22)
     building, toy_cat, grid, size_grid = make_toy_instance(rng, cat)

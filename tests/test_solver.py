@@ -1,6 +1,8 @@
 """Solver layer: backends, certificates, capacity guards."""
 
 import dataclasses
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -75,9 +77,19 @@ def test_tiny_mip(backend):
     assert list(np.round(out.x)) == [1.0, 0.0, 1.0]
 
 
+def _branching_mip() -> SolveRequest:
+    # a two-row knapsack over 8 items that presolve and the root leave open
+    weights = [[34, 14, 8, 15, 19, 33, 20, 8], [16, 26, 33, 30, 39, 11, 35, 6]]
+    values = [24, 14, 12, 28, 15, 24, 14, 10]
+    return _request([-v for v in values], weights, [-INF, -INF], [75.0, 98.0],
+                    [0.0] * 8, [1.0] * 8, [True] * 8)
+
+
 def test_highs_reports_node_count():
-    out = solve(_tiny_mip(), backend="highs")
+    out = solve(_branching_mip(), backend="highs")
     assert out.nodes >= 1
+    assert out.objective == pytest.approx(solve(_branching_mip(), backend="reference").objective,
+                                          abs=1e-9)
     assert solve(_tiny_mip(), backend="reference").nodes is None
 
 
@@ -85,6 +97,10 @@ def test_highs_reports_node_count():
 def test_unbounded(backend):
     req = _request([-1.0], np.zeros((0, 1)), [], [], [0.0], [INF], [False])
     assert solve(req, backend=backend).status is SolveStatus.UNBOUNDED
+    if backend == "highs":  # the reference backend needs bounded integers
+        # HiGHS's MIP presolve finds this "unbounded or infeasible"
+        mip = dataclasses.replace(req, integrality=np.array([True]))
+        assert solve(mip, backend=backend).status is SolveStatus.UNBOUNDED
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -92,6 +108,41 @@ def test_infeasible(backend):
     # row demands x >= 2 while the bound caps x at 1
     req = _request([1.0], [[1.0]], [2.0], [INF], [0.0], [1.0], [False])
     assert solve(req, backend=backend).status is SolveStatus.INFEASIBLE
+    mip = dataclasses.replace(req, integrality=np.array([True]))
+    assert solve(mip, backend=backend).status is SolveStatus.INFEASIBLE
+
+
+def test_highs_status_table_names_every_model_status():
+    from munipath.solver import _HIGHS_STATUS, load_highs
+
+    assert set(_HIGHS_STATUS) == set(load_highs().HighsModelStatus.__members__)
+    assert _HIGHS_STATUS["kModelError"] is SolveStatus.FAILED
+
+
+def test_highs_files_a_rejected_model_as_failed():
+    # HiGHS rejects a NaN bound when the model is passed
+    req = dataclasses.replace(_tiny_lp(), var_ub=np.array([np.nan, 3.0]))
+    out = solve(req, backend="highs")
+    assert out.status is SolveStatus.FAILED
+    assert out.x is None
+
+
+def test_highs_refuses_non_finite_coefficients():
+    # HiGHS itself calls both of these optimal
+    for field, value in (("obj", [np.inf, -2.0]), ("a_vals", [np.nan, 1.0])):
+        req = dataclasses.replace(_tiny_lp(), **{field: np.array(value)})
+        with pytest.raises(SolverError, match="non-finite"):
+            solve(req, backend="highs")
+
+
+def test_highs_sums_repeated_matrix_entries():
+    # x + y <= 4 given as x + 0.5 y + 0.5 y; HiGHS itself rejects duplicates
+    req = dataclasses.replace(
+        _tiny_lp(), a_rows=np.array([0, 0, 0]), a_cols=np.array([1, 0, 1]),
+        a_vals=np.array([0.5, 1.0, 0.5]))
+    out = solve(req, backend="highs")
+    assert out.status is SolveStatus.OPTIMAL
+    assert out.objective == pytest.approx(-7.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -251,38 +302,48 @@ def _tiny_mip_fixed() -> SolveRequest:
     return dataclasses.replace(req, var_lb=x, var_ub=x)
 
 
-@pytest.mark.parametrize("make_request, presolve", [
-    (_tiny_mip, False),  # a free integer column: presolve would restart
-    (_tiny_mip_fixed, True),  # integers all fixed: an LP, presolve pays off
-], ids=["free", "fixed"])
-def test_highs_runs_without_sub_mip_heuristics(monkeypatch, make_request, presolve):
-    from scipy import optimize
+@pytest.mark.parametrize("make_request", [_tiny_mip, _tiny_mip_fixed], ids=["free", "fixed"])
+def test_highs_runs_without_sub_mip_heuristics(monkeypatch, make_request):
+    from munipath import solver
 
-    seen = []
-    real_milp = optimize.milp
+    core = solver.load_highs()
+    built = []
 
-    def spy(*args, options=None, **kw):
-        seen.append(dict(options))  # milp pops keys from the dict it gets
-        return real_milp(*args, options=options, **kw)
+    class Spy(core._Highs):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
 
-    monkeypatch.setattr(optimize, "milp", spy)
+    monkeypatch.setattr(core, "_Highs", Spy)
     with warnings.catch_warnings():
-        # An option name HiGHS does not know draws a warning and is dropped.
-        # A name HiGHS knows but scipy's HighsOptions binding does not expose
-        # (mip_allow_restart, say) makes milp raise AttributeError instead.
         warnings.simplefilter("error")
         out = solve(make_request(), backend="highs",
                     params={"mip_gap": 0.02, "time_limit_s": 7.5})
     assert out.status is SolveStatus.OPTIMAL
     assert out.objective == pytest.approx(-8.0, abs=1e-9)
-    (options,) = seen
-    assert options["mip_heuristic_run_rens"] is False
-    assert options["mip_heuristic_run_rins"] is False
-    assert options["mip_heuristic_run_root_reduced_cost"] is False
-    assert options["mip_heuristic_run_feasibility_jump"] is False
-    assert options["presolve"] is presolve
-    assert options["mip_rel_gap"] == 0.02
-    assert options["time_limit"] == 7.5
+    (highs,) = built
+
+    def option(name):
+        status, value = highs.getOptionValue(name)
+        assert status == core.HighsStatus.kOk, name
+        return value
+
+    assert option("mip_heuristic_run_rens") is False
+    assert option("mip_heuristic_run_rins") is False
+    assert option("mip_heuristic_run_root_reduced_cost") is False
+    assert option("mip_heuristic_run_feasibility_jump") is False
+    assert option("mip_allow_restart") is False
+    assert option("presolve") == "on"
+    assert option("mip_rel_gap") == 0.02
+    assert option("time_limit") == 7.5
+    assert option("output_flag") is False
+
+
+def test_highs_refuses_an_out_of_range_option():
+    with pytest.raises(SolverError, match="mip_rel_gap"):
+        solve(_tiny_mip(), backend="highs", params={"mip_gap": -1.0})
+    with pytest.raises(SolverError, match="time_limit"):
+        solve(_tiny_mip(), backend="highs", params={"time_limit_s": -1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -329,3 +390,21 @@ def test_linear_model_rejects_duplicate_keys():
         lm.add_var(("size", "pv"))
     with pytest.raises(ValueError, match="duplicate row"):
         lm.add_row(("size", "pv"))
+
+
+def test_scipy_optimize_reuses_the_loaded_extension(child_env):
+    # load_highs registers the extension under its own name, so importing
+    # scipy.optimize afterwards neither loads it twice nor breaks linprog
+    script = (
+        "import sys\n"
+        "from munipath.solver import load_highs\n"
+        "core = load_highs()\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "import scipy.optimize\n"
+        "from scipy.optimize._highspy import _core\n"
+        "assert _core is core\n"
+        "res = scipy.optimize.linprog([1.0], bounds=[(2.0, 3.0)])\n"
+        "assert res.status == 0 and res.x[0] == 2.0\n")
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=child_env, timeout=120)
+    assert res.returncode == 0, res.stderr

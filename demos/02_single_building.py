@@ -23,7 +23,8 @@ print(f"{b.id}: built {b.construction_year}, "
 arts, outcome, sol = optimize_building(
     b, cat, scen, twin.grid, target_year=2030, period_years=7,
     params={"mip_gap": 1e-6})
-print(f"solved by {outcome.backend} in {outcome.wall_time_s:.2f}s, "
+print(f"{outcome.status.value} after {outcome.nodes} branch-and-bound nodes "
+      f"in {outcome.wall_time_s:.2f}s, "
       f"objective {sol.objective:,.0f} EUR/a\n")
 
 # discrete outcome: envelope variant, kept and dismantled plant, new kit

@@ -25,7 +25,7 @@ from .pathway import PathwayError, plan_pathway
 from .report import geojson_from_document, reports_from_document
 from .report import export_csv, path_document
 from .scenario import ScenarioError, default_scenario, load_scenario
-from .solver import BACKENDS, SolverError
+from .solver import SolverError
 from .twin import TimeGrid, TwinError, load_twin, save_twin
 
 EXIT_OK = 0
@@ -56,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".", help="output directory (default: .)")
     p.add_argument("--objective", default="cost",
                    choices=("cost", "emission", "weighted"))
-    p.add_argument("--backend", default=None, choices=BACKENDS,
-                   help=f"solver backend ({', '.join(BACKENDS)}; default highs)")
     p.add_argument("--mip-gap", type=_mip_gap, default=1e-4,
                    help="relative MIP gap (default 1e-4)")
     p.add_argument("--time-limit", type=_positive_seconds, default=None,
@@ -172,8 +170,7 @@ def cmd_pathway(args) -> int:
 
     path_obj = plan_pathway(
         twin, cat, scenario, args.periods,
-        objective_mode=args.objective, backend=args.backend,
-        params=params, workers=workers,
+        objective_mode=args.objective, params=params, workers=workers,
     )
     doc = path_document(path_obj, cat)
     os.makedirs(args.out_dir, exist_ok=True)

@@ -734,7 +734,6 @@ def optimize_building(
     *,
     target_year: int,
     period_years: int,
-    backend: str | None = None,
     params: dict | None = None,
     **options,
 ) -> tuple[ModelArtifacts, SolveOutcome, BuildingSolution]:
@@ -743,7 +742,7 @@ def optimize_building(
         building, cat, scenario, grid,
         target_year=target_year, period_years=period_years, **options,
     )
-    outcome = solve(arts.request, backend=backend, params=params)
+    outcome = solve(arts.request, params=params)
     if outcome.status is SolveStatus.INFEASIBLE:
         raise InfeasibleBuildingError(building.id, "no feasible expansion and dispatch plan")
     if not outcome.ok:

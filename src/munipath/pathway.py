@@ -426,7 +426,6 @@ def plan_stage(
     previous_year: int,
     target_year: int,
     objective_mode: str = "cost",
-    backend: str | None = None,
     params: dict | None = None,
     workers: int = 0,
 ) -> StageResult:
@@ -440,7 +439,7 @@ def plan_stage(
     grid = twin.grid
 
     common = dict(target_year=target_year, period_years=period,
-                  objective_mode=objective_mode, backend=backend, params=params)
+                  objective_mode=objective_mode, params=params)
     frozen = dict(common, allow_refurb=False, allow_plant_change=False)
     outcomes = _solve_all([_Task(b, cat, scenario, grid, options)
                            for b in buildings for options in (frozen, common)], workers)
@@ -550,12 +549,12 @@ def plan_stage(
 
 
 def _status_quo_stage(twin: EnergyTwin, cat: Catalog, scenario: ScenarioFrame,
-                      year: int, objective_mode: str, backend: str | None,
+                      year: int, objective_mode: str,
                       params: dict | None, workers: int) -> StageResult:
     """Valuation of the untouched stock: dispatch only, no decisions."""
     options = dict(target_year=year, period_years=1, objective_mode=objective_mode,
                    allow_refurb=False, allow_plant_change=False,
-                   include_transition_costs=False, backend=backend, params=params)
+                   include_transition_costs=False, params=params)
     outcomes = _solve_all([_Task(b, cat, scenario, twin.grid, options)
                            for b in sorted(twin.buildings, key=lambda b: b.id)], workers)
     solutions = {r.building_id: r.solution for r in outcomes if r.solution is not None}
@@ -578,7 +577,6 @@ def plan_pathway(
     stage_years: list[int] | tuple[int, ...],
     *,
     objective_mode: str = "cost",
-    backend: str | None = None,
     params: dict | None = None,
     workers: int = 0,
 ) -> TransformationPath:
@@ -596,14 +594,14 @@ def plan_pathway(
     stages: list[StageResult] = []
     current = twin
     first = _status_quo_stage(current, cat, scenario, years[0], objective_mode,
-                              backend, params, workers)
+                              params, workers)
     stages.append(first)
     for k in range(1, len(years)):
         st = plan_stage(
             current, cat, scenario,
             previous_year=years[k - 1], target_year=years[k],
             objective_mode=objective_mode,
-            backend=backend, params=params, workers=workers,
+            params=params, workers=workers,
         )
         stages.append(st)
         current = st.twin_after
@@ -615,7 +613,6 @@ def plan_pathway(
         scenario_id=str(scenario.meta.get("id", "scenario")),
         catalog_id=str(cat.meta.get("id", "catalog")),
         options={
-            "backend": backend or "default",
             "objective_mode": objective_mode,
             "renovation_rate_cap": scenario.renovation_rate_cap,
             "conversion_rate_cap": scenario.conversion_rate_cap,

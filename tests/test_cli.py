@@ -212,7 +212,8 @@ def test_validate_reads_the_catalog_option(twin2, tmp_path):
 
 
 def test_pathway_unknown_backend_exits_2(twin2, tmp_path):
-    for backend in ("bogus", "external:cat"):
+    # there is no --backend option: every value fails at argument parsing
+    for backend in ("bogus", "external:cat", "highs", "reference"):
         res = run_cli("pathway", str(twin2), "--periods", "2023,2030",
                       "--out-dir", str(tmp_path / "out"), "--backend", backend)
         assert res.returncode == 2, backend
@@ -256,7 +257,7 @@ def test_broken_worker_pool_exits_3(twin2, tmp_path, monkeypatch, capsys):
 
 
 def test_solver_error_exits_3(twin2, tmp_path, monkeypatch, capsys):
-    def broken_solve(request, backend=None, params=None):
+    def broken_solve(request, params=None):
         raise SolverError("the solver crashed")
 
     monkeypatch.setattr(model, "solve", broken_solve)
@@ -283,22 +284,6 @@ def test_unsolvable_stock_exits_3(tmp_path):
                   "--out-dir", str(tmp_path / "out"), "--workers", "1")
     assert res.returncode == 3
     assert "solver failure" in res.stderr
-
-
-def test_backend_flag_reaches_every_solve(twin2, tmp_path, monkeypatch):
-    backends = []
-    real_solve = model.solve
-
-    def recording_solve(request, backend=None, params=None):
-        backends.append(backend)
-        return real_solve(request, backend=backend, params=params)
-
-    monkeypatch.setattr(model, "solve", recording_solve)
-    code = cli.main(["pathway", str(twin2), "--periods", "2023,2030",
-                     "--out-dir", str(tmp_path / "out"), "--workers", "1",
-                     "--backend", "highs"])
-    assert code == 0
-    assert backends and set(backends) == {"highs"}
 
 
 @pytest.mark.parametrize("periods", ["2023", "2030,2023", "2023,2023"])

@@ -167,8 +167,8 @@ def test_accepted_solve_is_checked_against_its_rows(cat, scen, monkeypatch):
     (j,) = [i for i, k in enumerate(arts.var_keys) if k[0] == "out"]
     real_solve = munipath.model.solve
 
-    def short_of_heat(request, backend=None, params=None):
-        out = real_solve(request, backend=backend, params=params)
+    def short_of_heat(request, params=None):
+        out = real_solve(request, params=params)
         x = np.array(out.x)
         x[j] *= 0.5
         return dataclasses.replace(out, x=x, objective=None)

@@ -1,4 +1,4 @@
-"""Solver layer: backends, certificates, capacity guards."""
+"""Solver layer: HiGHS against the reference oracle, certificates, capacity guards."""
 
 import dataclasses
 import subprocess
@@ -9,18 +9,21 @@ import numpy as np
 import pytest
 
 from munipath.solver import (
-    BACKENDS,
-    MAX_REFERENCE_INTEGERS,
     LinearModel,
     SolveRequest,
     SolveStatus,
-    SolverCapacityError,
     SolverError,
-    duality_check_count,
     solve,
 )
 
 from oracles import enumerate_mip_optimum, make_random_mip, scipy_lp
+from reference_solver import (
+    MAX_REFERENCE_INTEGERS,
+    SolverCapacityError,
+    dense_matrix,
+    duality_check_count,
+    reference_solve,
+)
 
 INF = float("inf")
 
@@ -60,18 +63,23 @@ def _tiny_mip() -> SolveRequest:
 # Small worked problems
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_tiny_lp(backend):
-    out = solve(_tiny_lp(), backend=backend)
+# HiGHS and the reference oracle side by side
+solvers = pytest.mark.parametrize("solver", [solve, reference_solve],
+                                  ids=["highs", "reference"])
+
+
+@solvers
+def test_tiny_lp(solver):
+    out = solver(_tiny_lp())
     assert out.status is SolveStatus.OPTIMAL
     assert out.objective == pytest.approx(-7.0, abs=1e-9)
     assert out.x[0] == pytest.approx(1.0, abs=1e-9)
     assert out.x[1] == pytest.approx(3.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_tiny_mip(backend):
-    out = solve(_tiny_mip(), backend=backend)
+@solvers
+def test_tiny_mip(solver):
+    out = solver(_tiny_mip())
     assert out.status is SolveStatus.OPTIMAL
     assert out.objective == pytest.approx(-8.0, abs=1e-9)
     assert list(np.round(out.x)) == [1.0, 0.0, 1.0]
@@ -86,30 +94,30 @@ def _branching_mip() -> SolveRequest:
 
 
 def test_highs_reports_node_count():
-    out = solve(_branching_mip(), backend="highs")
+    out = solve(_branching_mip())
     assert out.nodes >= 1
-    assert out.objective == pytest.approx(solve(_branching_mip(), backend="reference").objective,
+    assert out.objective == pytest.approx(reference_solve(_branching_mip()).objective,
                                           abs=1e-9)
-    assert solve(_tiny_mip(), backend="reference").nodes is None
+    assert reference_solve(_tiny_mip()).nodes is None
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_unbounded(backend):
+@solvers
+def test_unbounded(solver):
     req = _request([-1.0], np.zeros((0, 1)), [], [], [0.0], [INF], [False])
-    assert solve(req, backend=backend).status is SolveStatus.UNBOUNDED
-    if backend == "highs":  # the reference backend needs bounded integers
+    assert solver(req).status is SolveStatus.UNBOUNDED
+    if solver is solve:  # the reference oracle needs bounded integers
         # HiGHS's MIP presolve finds this "unbounded or infeasible"
         mip = dataclasses.replace(req, integrality=np.array([True]))
-        assert solve(mip, backend=backend).status is SolveStatus.UNBOUNDED
+        assert solver(mip).status is SolveStatus.UNBOUNDED
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_infeasible(backend):
+@solvers
+def test_infeasible(solver):
     # row demands x >= 2 while the bound caps x at 1
     req = _request([1.0], [[1.0]], [2.0], [INF], [0.0], [1.0], [False])
-    assert solve(req, backend=backend).status is SolveStatus.INFEASIBLE
+    assert solver(req).status is SolveStatus.INFEASIBLE
     mip = dataclasses.replace(req, integrality=np.array([True]))
-    assert solve(mip, backend=backend).status is SolveStatus.INFEASIBLE
+    assert solver(mip).status is SolveStatus.INFEASIBLE
 
 
 def test_highs_status_table_names_every_model_status():
@@ -122,7 +130,7 @@ def test_highs_status_table_names_every_model_status():
 def test_highs_files_a_rejected_model_as_failed():
     # HiGHS rejects a NaN bound when the model is passed
     req = dataclasses.replace(_tiny_lp(), var_ub=np.array([np.nan, 3.0]))
-    out = solve(req, backend="highs")
+    out = solve(req)
     assert out.status is SolveStatus.FAILED
     assert out.x is None
 
@@ -132,7 +140,7 @@ def test_highs_refuses_non_finite_coefficients():
     for field, value in (("obj", [np.inf, -2.0]), ("a_vals", [np.nan, 1.0])):
         req = dataclasses.replace(_tiny_lp(), **{field: np.array(value)})
         with pytest.raises(SolverError, match="non-finite"):
-            solve(req, backend="highs")
+            solve(req)
 
 
 def test_highs_sums_repeated_matrix_entries():
@@ -140,7 +148,7 @@ def test_highs_sums_repeated_matrix_entries():
     req = dataclasses.replace(
         _tiny_lp(), a_rows=np.array([0, 0, 0]), a_cols=np.array([1, 0, 1]),
         a_vals=np.array([0.5, 1.0, 0.5]))
-    out = solve(req, backend="highs")
+    out = solve(req)
     assert out.status is SolveStatus.OPTIMAL
     assert out.objective == pytest.approx(-7.0, abs=1e-9)
 
@@ -189,7 +197,7 @@ def test_reference_lp_agrees_with_scipy_on_random_instances():
         status, objective = scipy_lp(req)
         if status == "failed":
             continue
-        out = solve(req, backend="reference")
+        out = reference_solve(req)
         assert out.status.value == status, f"instance {checked}"
         if status == "optimal":
             assert out.objective == pytest.approx(objective, rel=1e-6, abs=1e-6)
@@ -204,7 +212,7 @@ def test_reference_mip_agrees_with_enumeration():
         req = _request(c, a, row_lb, row_ub, var_lb, var_ub, integrality)
         status, best = enumerate_mip_optimum(
             c, a, row_lb, row_ub, var_lb, var_ub, integrality)
-        out = solve(req, backend="reference")
+        out = reference_solve(req)
         assert out.status.value == status, f"instance {k}"
         if status == "optimal":
             assert out.objective == pytest.approx(best, rel=1e-6, abs=1e-6), \
@@ -218,7 +226,7 @@ def test_highs_mip_agrees_with_enumeration():
         req = _request(c, a, row_lb, row_ub, var_lb, var_ub, integrality)
         status, best = enumerate_mip_optimum(
             c, a, row_lb, row_ub, var_lb, var_ub, integrality)
-        out = solve(req, backend="highs")
+        out = solve(req)
         assert out.status.value == status, f"instance {k}"
         if status == "optimal":
             assert out.objective == pytest.approx(best, rel=1e-6, abs=1e-6)
@@ -229,7 +237,7 @@ def test_lp_relaxation_bounds_mip():
     for _ in range(20):
         c, a, row_lb, row_ub, var_lb, var_ub, integrality = make_random_mip(rng)
         req = _request(c, a, row_lb, row_ub, var_lb, var_ub, integrality)
-        out = solve(req, backend="reference")
+        out = reference_solve(req)
         if out.status is not SolveStatus.OPTIMAL:
             continue
         relaxed = _request(c, a, row_lb, row_ub, var_lb, var_ub,
@@ -243,8 +251,8 @@ def test_reference_solves_are_deterministic():
     rng = np.random.default_rng(5150)
     c, a, row_lb, row_ub, var_lb, var_ub, integrality = make_random_mip(rng)
     req = _request(c, a, row_lb, row_ub, var_lb, var_ub, integrality)
-    out1 = solve(req, backend="reference")
-    out2 = solve(req, backend="reference")
+    out1 = reference_solve(req)
+    out2 = reference_solve(req)
     assert out1.objective == out2.objective
     assert np.array_equal(out1.x, out2.x)
 
@@ -254,12 +262,12 @@ def test_every_reference_solve_is_certified():
     for _ in range(10):
         req = _random_lp(rng)
         before = duality_check_count()
-        solve(req, backend="reference")
+        reference_solve(req)
         assert duality_check_count() > before
 
 
 # ---------------------------------------------------------------------------
-# Guards and selection
+# Guards
 
 
 def test_reference_rejects_too_many_integers():
@@ -267,32 +275,18 @@ def test_reference_rejects_too_many_integers():
     req = _request(np.ones(n), np.zeros((0, n)), [], [],
                    np.zeros(n), np.ones(n), [True] * n)
     with pytest.raises(SolverCapacityError):
-        solve(req, backend="reference")
+        reference_solve(req)
 
 
 def test_reference_rejects_unbounded_integer():
     req = _request([1.0], np.zeros((0, 1)), [], [], [0.0], [INF], [True])
     with pytest.raises(SolverCapacityError):
-        solve(req, backend="reference")
-
-
-def test_default_backend_ignores_environment(monkeypatch):
-    monkeypatch.setenv("MUNIPATH_SOLVER", "bogus")
-    out = solve(_tiny_lp())
-    assert out.backend == "highs"
-    assert out.status is SolveStatus.OPTIMAL
-
-
-def test_unknown_backend_raises():
-    for backend in ("simplexatron", "external:cat"):
-        with pytest.raises(SolverError):
-            solve(_tiny_lp(), backend=backend)
+        reference_solve(req)
 
 
 def test_time_limit_param_accepted():
-    for backend in BACKENDS:
-        out = solve(_tiny_mip(), backend=backend, params={"time_limit_s": 10.0})
-        assert out.status is SolveStatus.OPTIMAL
+    out = solve(_tiny_mip(), params={"time_limit_s": 10.0})
+    assert out.status is SolveStatus.OPTIMAL
 
 
 def _tiny_mip_fixed() -> SolveRequest:
@@ -317,8 +311,7 @@ def test_highs_runs_without_sub_mip_heuristics(monkeypatch, make_request):
     monkeypatch.setattr(core, "_Highs", Spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = solve(make_request(), backend="highs",
-                    params={"mip_gap": 0.02, "time_limit_s": 7.5})
+        out = solve(make_request(), params={"mip_gap": 0.02, "time_limit_s": 7.5})
     assert out.status is SolveStatus.OPTIMAL
     assert out.objective == pytest.approx(-8.0, abs=1e-9)
     (highs,) = built
@@ -341,9 +334,9 @@ def test_highs_runs_without_sub_mip_heuristics(monkeypatch, make_request):
 
 def test_highs_refuses_an_out_of_range_option():
     with pytest.raises(SolverError, match="mip_rel_gap"):
-        solve(_tiny_mip(), backend="highs", params={"mip_gap": -1.0})
+        solve(_tiny_mip(), params={"mip_gap": -1.0})
     with pytest.raises(SolverError, match="time_limit"):
-        solve(_tiny_mip(), backend="highs", params={"time_limit_s": -1.0})
+        solve(_tiny_mip(), params={"time_limit_s": -1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +350,7 @@ def test_linear_model_accumulates_duplicate_terms():
     lm.add_term(r, x, 1.0)
     lm.add_term(r, x, 2.0)
     req = lm.build([0.0])
-    assert req.dense_matrix()[0, 0] == pytest.approx(3.0)
+    assert dense_matrix(req)[0, 0] == pytest.approx(3.0)
 
 
 def test_linear_model_objective_and_bounds():
@@ -376,7 +369,7 @@ def test_linear_model_objective_and_bounds():
     assert list(req.obj) == [3.0, -3.0]
     assert req.var_lb[1] == req.var_ub[1] == 4.0
     assert bool(req.integrality[1]) and not bool(req.integrality[0])
-    out = solve(req, backend="reference")
+    out = reference_solve(req)
     assert out.status is SolveStatus.OPTIMAL
     assert out.x[0] == pytest.approx(5.0)
 

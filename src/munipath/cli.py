@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-limit", type=_positive_seconds, default=None,
                    help="per-solve time limit in seconds (default: none)")
     p.add_argument("--workers", type=_positive_int, default=None,
-                   help="parallel building solves (default: CPU count)")
+                   help="parallel building solves (default: usable CPUs)")
     p.set_defaults(func=cmd_pathway)
 
     p = sub.add_parser("report", help="regenerate CSV/GeoJSON from a stored pathway")
@@ -166,7 +166,7 @@ def cmd_pathway(args) -> int:
     params = {"mip_gap": args.mip_gap}
     if args.time_limit is not None:
         params["time_limit_s"] = args.time_limit
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
+    workers = args.workers if args.workers is not None else _usable_cpus()
 
     path_obj = plan_pathway(
         twin, cat, scenario, args.periods,
@@ -184,6 +184,14 @@ def cmd_pathway(args) -> int:
               f"{rep['cost_breakdown']['objective']:>14.2f}  "
               f"{rep['emissions'].get('total', 0.0):>15.1f}")
     return EXIT_OK
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: under ``taskset`` or a cpuset
+    that is fewer than ``os.cpu_count()``, which counts the host's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def cmd_report(args) -> int:

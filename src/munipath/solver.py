@@ -6,8 +6,10 @@ takes the settings (MIP gap, time limit) and solves the request with
 HiGHS.  HiGHS runs through the extension module that scipy bundles, which
 ``load_highs`` loads from its file at the first solve, so
 ``scipy.optimize`` and ``scipy.sparse`` are never imported.  Presolve is
-on and restarts are off; these settings, and the measurements behind
-them, are given beside its options in ``_solve_highs``.
+on, restarts are off, and branching uses pseudo-costs without a
+strong-branching warm-up (reliability threshold 0); these settings, and
+the measurements behind them, are given beside its options in
+``_solve_highs``.
 
 All problems are minimization.  Row activities are two-sided
 (``row_lb <= A x <= row_ub``), variable bounds likewise.
@@ -81,6 +83,7 @@ class SolveOutcome:
     bound: float | None = None
     gap: float | None = None
     nodes: int | None = None  # branch-and-bound nodes (MIPs only)
+    lp_iterations: int | None = None  # simplex iterations, strong branching included
     wall_time_s: float = 0.0
     message: str = ""
 
@@ -291,6 +294,16 @@ def _solve_highs(request: SolveRequest, p: dict) -> SolveOutcome:
     #   reduced-cost sub-MIP the free MILPs and re-solves replayed in 3.66 s
     #   against 4.69 s (median of 6 interleaved rounds), with 244
     #   branch-and-bound nodes against 45.
+    # * Pseudo-cost branching without a strong-branching warm-up
+    #   (``mip_pscost_minreliable`` 0; HiGHS's reliability branching
+    #   strong-branches on a binary until it has 8 pseudo-cost observations
+    #   by default).  With about 30 binaries and trees of 0 to 30 nodes, the
+    #   warm-up costs more simplex iterations than the tree it saves.  On
+    #   the 23 free MILPs and re-solves of the benchmark fixtures, LP
+    #   iterations fell from 22,161 to 15,351 (nodes rose from 215 to 411)
+    #   and CPU time by 15 % (6 of 6 interleaved rounds).  At 60-minute
+    #   steps iterations fell by 29 % and time by 10 %, and on two held-out
+    #   fixtures both by 4 %.  Thresholds 1, 2 and 4 left more iterations.
     options = {
         "output_flag": False,
         "log_to_console": False,
@@ -301,6 +314,7 @@ def _solve_highs(request: SolveRequest, p: dict) -> SolveOutcome:
         "mip_heuristic_run_rins": False,
         "mip_heuristic_run_root_reduced_cost": False,
         "mip_heuristic_run_feasibility_jump": False,
+        "mip_pscost_minreliable": 0,
     }
     if p.get("time_limit_s") is not None:
         options["time_limit"] = float(p["time_limit_s"])
@@ -346,6 +360,7 @@ def _solve_highs(request: SolveRequest, p: dict) -> SolveOutcome:
     message = highs.modelStatusToString(model_status)
     if status not in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE):
         return SolveOutcome(status=status, wall_time_s=wall, message=message)
+    iterations = int(info.simplex_iteration_count)  # -1 when no simplex ran
     return SolveOutcome(
         status=status,
         x=np.array(highs.getSolution().col_value, dtype=float),
@@ -353,5 +368,6 @@ def _solve_highs(request: SolveRequest, p: dict) -> SolveOutcome:
         bound=float(info.mip_dual_bound) if is_mip else None,
         gap=float(info.mip_gap) if is_mip else None,
         nodes=int(info.mip_node_count) if is_mip else None,
+        lp_iterations=iterations if iterations >= 0 else None,
         wall_time_s=wall, message=message,
     )

@@ -10,9 +10,10 @@ import pytest
 
 from munipath import cli, model, pathway
 from munipath.catalog import default_catalog, save_catalog
+from munipath.fixtures import make_fixture_twin
 from munipath.scenario import default_scenario, save_scenario
 from munipath.solver import SolverError
-from munipath.twin import load_twin
+from munipath.twin import load_twin, save_twin
 
 EXE = [sys.executable, "-m", "munipath"]
 
@@ -267,6 +268,25 @@ def test_solver_error_exits_3(twin2, tmp_path, monkeypatch, capsys):
     assert code == 3
     assert "solver failure" in err
     assert "Traceback" not in err
+
+
+def test_default_workers_are_the_usable_cpus(tmp_path, monkeypatch):
+    twin_path = tmp_path / "twin.json"
+    save_twin(make_fixture_twin(1, seed=11), twin_path)
+    workers = []
+
+    def stub_plan_pathway(*args, **kwargs):
+        workers.append(kwargs["workers"])
+        raise pathway.PathwayError("stub")
+
+    # 64 host CPUs, of which the process may run on one
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(cli, "plan_pathway", stub_plan_pathway)
+    code = cli.main(["pathway", str(twin_path), "--periods", "2023,2030",
+                     "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    assert workers == [1]
 
 
 def test_unsolvable_stock_exits_3(tmp_path):

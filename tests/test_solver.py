@@ -96,6 +96,7 @@ def _branching_mip() -> SolveRequest:
 def test_highs_reports_node_count():
     out = solve(_branching_mip())
     assert out.nodes >= 1
+    assert out.lp_iterations >= 1
     assert out.objective == pytest.approx(reference_solve(_branching_mip()).objective,
                                           abs=1e-9)
     assert reference_solve(_tiny_mip()).nodes is None
@@ -326,6 +327,7 @@ def test_highs_runs_without_sub_mip_heuristics(monkeypatch, make_request):
     assert option("mip_heuristic_run_root_reduced_cost") is False
     assert option("mip_heuristic_run_feasibility_jump") is False
     assert option("mip_allow_restart") is False
+    assert option("mip_pscost_minreliable") == 0
     assert option("presolve") == "on"
     assert option("mip_rel_gap") == 0.02
     assert option("time_limit") == 7.5

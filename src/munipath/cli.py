@@ -74,9 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-fixture", help="generate a synthetic twin")
     p.add_argument("--out", default="twin.json", help="output path (default: twin.json)")
-    p.add_argument("--buildings", type=int, default=20)
+    p.add_argument("--buildings", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--resolution", type=int, default=60, help="minutes per step")
+    p.add_argument("--resolution", type=_step_minutes, default=60,
+                   help="minutes per step, a divisor of 1440 (default 60)")
     p.add_argument("--full-year", action="store_true",
                    help="365-day hourly grid instead of 4 representative days")
     p.set_defaults(func=cmd_gen_fixture)
@@ -126,6 +127,15 @@ def _positive_int(value: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {value!r}")
+
+
+def _step_minutes(value: str) -> int:
+    try:
+        if int(value) >= 1 and 1440 % int(value) == 0:
+            return int(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a divisor of 1440 minutes, got {value!r}")
 
 
 def _require_file(path: pathlib.Path) -> None:

@@ -219,17 +219,21 @@ def build_model(
     admissible = sorted(admissible_refurb_variants(building)) if allow_refurb else [current_ir]
 
     m = LinearModel()
-    # one row per column: the CostBreakdown fields in order, then scopes 1-3
-    accounts: list[tuple[float, ...]] = []
+    # one (8, k) block per new_var call: the CostBreakdown fields in order,
+    # then scopes 1-3, each per unit of the block's k columns
+    accounts: list[np.ndarray] = []
     domain: list[str] = []
 
-    def new_var(key, *, lb=0.0, ub=math.inf, integer=False, dom="heat",
+    def new_var(keys, *, lb=0.0, ub=math.inf, integer=False, dom="heat",
                 capex=0.0, subsidy=0.0, opex=0.0, dec=0.0, resid=0.0,
-                s1=0.0, s2=0.0, s3=0.0) -> int:
-        idx = m.add_var(key, lb=lb, ub=ub, integer=integer)
-        accounts.append((capex, subsidy, opex, dec, resid, s1, s2, s3))
-        domain.append(dom)
-        return idx
+                s1=0.0, s2=0.0, s3=0.0) -> np.ndarray:
+        ids = m.add_vars(keys, lb, ub, integer)
+        block = np.empty((8, len(ids)))
+        for row, value in zip(block, (capex, subsidy, opex, dec, resid, s1, s2, s3)):
+            row[:] = value
+        accounts.append(block)
+        domain.extend([dom] * len(ids))
+        return ids
 
     # -- keep / dismantle of existing units ----------------------------------
     v_keep: dict[int, int] = {}
@@ -240,27 +244,19 @@ def build_model(
         resid = residual_value(spec.capex_total(inst.size), spec.lifetime, remaining)
         dec_cost = spec.deconstruction * inst.size
         dom = _unit_domain(spec)
-        keep_opex = spec.opex_fixed * inst.size
         trans = include_transition_costs
-        v_keep[i] = new_var(
-            ("keep", i), ub=1.0, integer=True, dom=dom,
-            opex=keep_opex,
-            resid=af_period * resid if trans else 0.0,
-        )
-        v_drop[i] = new_var(
-            ("drop", i), ub=1.0, integer=True, dom=dom,
-            dec=af_period * dec_cost if trans else 0.0,
-            s3=((1.0 - EMBODIED_INSTALL_SHARE) * spec.embodied * inst.size / period_years
-                if trans else 0.0),
-        )
-        r_kd = m.add_row(("keepdrop", i), 1.0, 1.0)
-        m.add_term(r_kd, v_keep[i], 1.0)
-        m.add_term(r_kd, v_drop[i], 1.0)
         frozen = (not allow_plant_change
                   or (allow_plant_change == "additions_only" and spec.is_heat_converter))
-        if frozen:
-            m.fix_var(v_keep[i], 1.0)
-            m.fix_var(v_drop[i], 0.0)
+        v_keep[i], v_drop[i] = new_var(
+            [("keep", i), ("drop", i)], lb=(1.0, 0.0) if frozen else 0.0,
+            ub=(1.0, 0.0) if frozen else 1.0, integer=True, dom=dom,
+            opex=(spec.opex_fixed * inst.size, 0.0),
+            resid=(af_period * resid if trans else 0.0, 0.0),
+            dec=(0.0, af_period * dec_cost if trans else 0.0),
+            s3=(0.0, (1.0 - EMBODIED_INSTALL_SHARE) * spec.embodied * inst.size / period_years
+                if trans else 0.0),
+        )
+        m.add_terms(m.add_row(("keepdrop", i), 1.0, 1.0), (v_keep[i], v_drop[i]), 1.0)
 
     # -- new installations ----------------------------------------------------
     v_inst: dict[str, int] = {}
@@ -271,185 +267,147 @@ def build_model(
         spec = u.spec
         af_life = annuity_factor(rate, spec.lifetime)
         dom = _unit_domain(spec)
-        v_inst[spec.id] = new_var(
-            ("inst", spec.id), ub=1.0, integer=True, dom=dom,
-            capex=af_life * spec.capex_fix,
-            subsidy=af_life * spec.subsidy_rate * spec.capex_fix,
-        )
-        v_size[spec.id] = new_var(
-            ("size", spec.id), dom=dom,
-            capex=af_life * spec.capex_var,
-            subsidy=af_life * spec.subsidy_rate * spec.capex_var,
-            opex=spec.opex_fixed,
-            s3=EMBODIED_INSTALL_SHARE * spec.embodied / spec.lifetime,
+        v_inst[spec.id], v_size[spec.id] = new_var(
+            [("inst", spec.id), ("size", spec.id)], ub=(1.0, math.inf),
+            integer=(True, False), dom=dom,
+            capex=(af_life * spec.capex_fix, af_life * spec.capex_var),
+            subsidy=(af_life * spec.subsidy_rate * spec.capex_fix,
+                     af_life * spec.subsidy_rate * spec.capex_var),
+            opex=(0.0, spec.opex_fixed),
+            s3=(0.0, EMBODIED_INSTALL_SHARE * spec.embodied / spec.lifetime),
         )
         if spec.id in size_grid:
-            levels = tuple(sorted(size_grid[spec.id]))
+            levels = np.array(sorted(size_grid[spec.id]), dtype=float)
             r_sz = m.add_row(("size_grid", spec.id), 0.0, 0.0)
-            m.add_term(r_sz, v_size[spec.id], 1.0)
             r_pick = m.add_row(("pick_one", spec.id), 0.0, 0.0)
-            m.add_term(r_pick, v_inst[spec.id], -1.0)
-            for k, level in enumerate(levels):
-                p = new_var(("pick", spec.id, k), ub=1.0, integer=True, dom=dom)
-                m.add_term(r_sz, p, -float(level))
-                m.add_term(r_pick, p, 1.0)
+            m.add_terms((r_sz, r_pick), (v_size[spec.id], v_inst[spec.id]), (1.0, -1.0))
+            picks = new_var([("pick", spec.id, k) for k in range(len(levels))],
+                            ub=1.0, integer=True, dom=dom)
+            m.add_terms(r_sz, picks, -levels)
+            m.add_terms(r_pick, picks, 1.0)
         else:
-            r_max = m.add_row(("size_max", spec.id), -math.inf, 0.0)
-            m.add_term(r_max, v_size[spec.id], 1.0)
             cap_ub = spec.max_size if math.isfinite(spec.max_size) else 1e6
-            m.add_term(r_max, v_inst[spec.id], -cap_ub)
+            r_max = m.add_row(("size_max", spec.id), -math.inf, 0.0)
+            m.add_terms(r_max, (v_size[spec.id], v_inst[spec.id]), (1.0, -cap_ub))
             if spec.min_size > 0:
                 r_min = m.add_row(("size_min", spec.id), 0.0, math.inf)
-                m.add_term(r_min, v_size[spec.id], 1.0)
-                m.add_term(r_min, v_inst[spec.id], -spec.min_size)
+                m.add_terms(r_min, (v_size[spec.id], v_inst[spec.id]), (1.0, -spec.min_size))
+
+    def capacity(u: _Unit) -> tuple[int, float]:
+        """The column carrying a unit's capacity and the capacity per unit of
+        its value: an existing unit's keep binary, a candidate's size."""
+        if u.existing is not None:
+            return v_keep[u.existing], u.cap
+        return v_size[u.spec.id], 1.0
 
     # -- refurbishment variant choice -----------------------------------------
-    v_variant: dict[int, int] = {}
-    r_choice = m.add_row(("variant_choice",), 1.0, 1.0)
-    for ir in range(16):
-        ok = ir in admissible
-        one_time = variant_cost(cat, building, ir) if ok else 0.0
-        ann = 0.0
-        s3 = 0.0
-        if ok and one_time > 0.0:
-            added = ir & ~current_ir
-            ann = sum(
+    ok = np.isin(np.arange(16), admissible)
+    ann = np.zeros(16)
+    s3 = np.zeros(16)
+    for ir in admissible:
+        if variant_cost(cat, building, ir) > 0.0:
+            added = variant_components(ir & ~current_ir)
+            ann[ir] = sum(
                 annuity_factor(rate, cat.refurb[name].lifetime)
                 * cat.refurb[name].cost_per_m2 * cat.refurb[name].area(building)
-                for name in variant_components(added))
-            s3 = sum(
+                for name in added)
+            s3[ir] = sum(
                 cat.refurb[name].embodied_per_m2 * cat.refurb[name].area(building)
                 / cat.refurb[name].lifetime
-                for name in variant_components(added))
-        v_variant[ir] = new_var(
-            ("variant", ir), ub=1.0 if ok else 0.0, integer=True,
-            dom="refurbishment", capex=ann, s3=s3,
-        )
-        m.add_term(r_choice, v_variant[ir], 1.0)
-    if not allow_refurb or len(admissible) == 1 and admissible[0] == current_ir:
-        for ir in range(16):
-            m.fix_var(v_variant[ir], 1.0 if ir == current_ir else 0.0)
+                for name in added)
+    fixed = admissible == [current_ir]
+    current = (np.arange(16) == current_ir).astype(float)
+    r_choice = m.add_row(("variant_choice",), 1.0, 1.0)
+    v_variant = new_var([("variant", ir) for ir in range(16)],
+                        lb=current if fixed else 0.0, ub=current if fixed else ok,
+                        integer=True, dom="refurbishment", capex=ann, s3=s3)
+    m.add_terms(r_choice, v_variant, 1.0)
 
     # -- parallel measure limit ------------------------------------------------
     r_par = m.add_row(("parallel_limit",), -math.inf,
                       float(scenario.max_parallel_retrofits))
-    for tid, vi in v_inst.items():
-        m.add_term(r_par, vi, 1.0)
-    for ir in admissible:
-        n_new = len(variant_components(ir & ~current_ir))
-        if n_new:
-            m.add_term(r_par, v_variant[ir], float(n_new))
+    m.add_terms(r_par, list(v_inst.values()), 1.0)
+    m.add_terms(r_par, v_variant[admissible],
+                [float(len(variant_components(ir & ~current_ir))) for ir in admissible])
 
     # -- siting: roof and open space --------------------------------------------
     for area_attr, per_kw_attr, rname in (
         ("roof_area", "roof_area_per_kw", "roof_area"),
         ("open_space_area", "open_area_per_kw", "open_space_area"),
     ):
-        total = getattr(building, area_attr)
         relevant = [u for u in units if getattr(u.spec, per_kw_attr) > 0]
         if not relevant:
             continue
-        r = m.add_row((rname,), -math.inf, total)
+        r = m.add_row((rname,), -math.inf, getattr(building, area_attr))
         for u in relevant:
-            per_kw = getattr(u.spec, per_kw_attr)
-            if u.existing is not None:
-                m.add_term(r, v_keep[u.existing], per_kw * u.cap)
-            else:
-                m.add_term(r, v_size[u.spec.id], per_kw)
+            col, kw = capacity(u)
+            m.add_terms(r, col, getattr(u.spec, per_kw_attr) * kw)
 
     # -- dispatch variables -----------------------------------------------------
     v_out: dict[str, np.ndarray] = {}
     v_ch: dict[str, np.ndarray] = {}
     v_dis: dict[str, np.ndarray] = {}
-    v_soc: dict[str, np.ndarray] = {}
-    eff_per_unit: dict[str, np.ndarray] = {}
+    step_range = range(steps)
 
     for u in units:
         spec = u.spec
         if spec.kind == KIND_CONNECTION:
             continue
         dom = _unit_domain(spec)
+        col, kw = capacity(u)
         if spec.kind == KIND_CONVERTER:
-            eff = np.array([spec.efficiency_at(s) for s in seasons])
-            eff_per_unit[u.key] = eff
-            ids = np.empty(steps, dtype=np.int64)
-            for s in range(steps):
-                ids[s] = new_var(("out", u.key, s), dom=dom, opex=spec.opex_var * w[s])
+            ids = new_var([("out", u.key, s) for s in step_range], dom=dom,
+                          opex=spec.opex_var * w)
             v_out[u.key] = ids
             avail = _availability(spec, grid)
-            cap_profile = avail if avail is not None else np.ones(steps)
-            for s in range(steps):
-                r = m.add_row(("cap", u.key, s), -math.inf, 0.0)
-                m.add_term(r, ids[s], 1.0)
-                lim = cap_profile[s] * h
-                if u.existing is not None:
-                    m.add_term(r, v_keep[u.existing], -lim * u.cap)
-                else:
-                    m.add_term(r, v_size[spec.id], -lim)
+            lim = (avail if avail is not None else np.ones(steps)) * h
+            r = m.add_rows([("cap", u.key, s) for s in step_range], -math.inf, 0.0)
+            m.add_terms(r, ids, 1.0)
+            m.add_terms(r, col, -lim * kw)
         elif spec.kind == KIND_STORAGE:
-            ids_ch = np.empty(steps, dtype=np.int64)
-            ids_dis = np.empty(steps, dtype=np.int64)
-            ids_soc = np.empty(steps, dtype=np.int64)
-            for s in range(steps):
-                ids_ch[s] = new_var(("ch", u.key, s), dom=dom)
-                ids_dis[s] = new_var(("dis", u.key, s), dom=dom)
-                ids_soc[s] = new_var(("soc", u.key, s), dom=dom)
-            v_ch[u.key], v_dis[u.key], v_soc[u.key] = ids_ch, ids_dis, ids_soc
+            # columns ch, dis, soc and rows soc_cap, ch_cap, dis_cap each
+            # interleaved per step
+            ids_ch, ids_dis, ids_soc = new_var(
+                [(tag, u.key, s) for s in step_range for tag in ("ch", "dis", "soc")],
+                dom=dom).reshape(steps, 3).T
+            v_ch[u.key], v_dis[u.key] = ids_ch, ids_dis
             retention = (1.0 - spec.loss_per_hour) ** h
             p_lim = spec.power_per_capacity * h
-            for s in range(steps):
-                for label, ids, lim in (("soc_cap", ids_soc, 1.0),
-                                        ("ch_cap", ids_ch, p_lim),
-                                        ("dis_cap", ids_dis, p_lim)):
-                    r = m.add_row((label, u.key, s), -math.inf, 0.0)
-                    m.add_term(r, ids[s], 1.0)
-                    if u.existing is not None:
-                        m.add_term(r, v_keep[u.existing], -lim * u.cap)
-                    else:
-                        m.add_term(r, v_size[spec.id], -lim)
+            r = m.add_rows([(label, u.key, s) for s in step_range
+                            for label in ("soc_cap", "ch_cap", "dis_cap")], -math.inf, 0.0)
+            m.add_terms(r, np.stack([ids_soc, ids_ch, ids_dis], axis=1).ravel(), 1.0)
+            m.add_terms(r, col, np.tile([-kw, -p_lim * kw, -p_lim * kw], steps))
             for block in grid.cyclic_blocks():
-                lo, hi = block.start, block.stop
-                for s in range(lo, hi):
-                    nxt = s + 1 if s + 1 < hi else lo
-                    r = m.add_row(("soc_tr", u.key, s), 0.0, 0.0)
-                    m.add_term(r, ids_soc[nxt], 1.0)
-                    m.add_term(r, ids_soc[s], -retention)
-                    m.add_term(r, ids_ch[s], -spec.charge_efficiency)
-                    m.add_term(r, ids_dis[s], 1.0 / spec.discharge_efficiency)
+                r = m.add_rows([("soc_tr", u.key, s) for s in step_range[block]], 0.0, 0.0)
+                m.add_terms(r, np.roll(ids_soc[block], -1), 1.0)
+                m.add_terms(r, ids_soc[block], -retention)
+                m.add_terms(r, ids_ch[block], -spec.charge_efficiency)
+                m.add_terms(r, ids_dis[block], 1.0 / spec.discharge_efficiency)
 
     # -- imports, export, grid capacity -----------------------------------------
     carriers = sorted({u.spec.carrier for u in units
                        if u.spec.carrier in PRICED_CARRIERS and u.spec.carrier != "electricity"})
     grid_units = [u for u in units if u.spec.kind == KIND_CONNECTION]
-    need_electricity = True  # electricity bus always exists
 
     v_imp: dict[str, np.ndarray] = {}
     year = target_year
-    for c in carriers + (["electricity"] if need_electricity else []):
+    for c in carriers + ["electricity"]:  # the electricity bus always exists
         price = scenario.price_at(c, year) / 100.0  # EUR per kWh
         ef = scenario.emission_factor_at(c, year) / 1000.0  # kg per kWh
         s1 = ef if c in SCOPE1_CARRIERS else 0.0
         s2 = ef if c in SCOPE2_CARRIERS else 0.0
-        ids = np.empty(steps, dtype=np.int64)
-        for s in range(steps):
-            ids[s] = new_var(("imp", c, s), dom=_carrier_domain(c),
-                             opex=price * w[s], s1=s1 * w[s], s2=s2 * w[s])
-        v_imp[c] = ids
+        v_imp[c] = new_var([("imp", c, s) for s in step_range], dom=_carrier_domain(c),
+                           opex=price * w, s1=s1 * w, s2=s2 * w)
 
     feed_in = scenario.feed_in_at(year) / 100.0
-    v_exp = np.empty(steps, dtype=np.int64)
-    for s in range(steps):
-        v_exp[s] = new_var(("exp", s), dom="electricity", opex=-feed_in * w[s])
+    v_exp = new_var([("exp", s) for s in step_range], dom="electricity", opex=-feed_in * w)
 
-    for s in range(steps):
-        r = m.add_row(("grid_cap", s), -math.inf, 0.0)
-        m.add_term(r, v_imp["electricity"][s], 1.0)
-        m.add_term(r, v_exp[s], 1.0)
-        for u in grid_units:
-            if u.existing is not None:
-                m.add_term(r, v_keep[u.existing], -h * u.cap)
-            else:
-                m.add_term(r, v_size[u.spec.id], -h)
+    r = m.add_rows([("grid_cap", s) for s in step_range], -math.inf, 0.0)
+    m.add_terms(r, v_imp["electricity"], 1.0)
+    m.add_terms(r, v_exp, 1.0)
+    for u in grid_units:
+        col, kw = capacity(u)
+        m.add_terms(r, col, -h * kw)
 
     # -- balances ------------------------------------------------------------
     sh = base.get("space_heat", zeros)
@@ -457,61 +415,50 @@ def build_model(
     el = base.get("electricity", zeros)
     cool = base.get("cooling", None)
 
-    r_heat = [m.add_row(("balance", "heat", s), 0.0, 0.0) for s in range(steps)]
-    r_el = [m.add_row(("balance", "electricity", s), float(el[s]), float(el[s]))
-            for s in range(steps)]
+    r_heat = m.add_rows([("balance", "heat", s) for s in step_range], 0.0, 0.0)
+    r_el = m.add_rows([("balance", "electricity", s) for s in step_range], el, el)
     r_cool = None
     if cool is not None:
-        r_cool = [m.add_row(("balance", "cooling", s), float(cool[s]), float(cool[s]))
-                  for s in range(steps)]
-    r_fuel: dict[str, list[int]] = {}
-    for c in carriers:
-        r_fuel[c] = [m.add_row(("fuel", c, s), 0.0, 0.0) for s in range(steps)]
+        r_cool = m.add_rows([("balance", "cooling", s) for s in step_range], cool, cool)
+    r_fuel = {c: m.add_rows([("fuel", c, s) for s in step_range], 0.0, 0.0)
+              for c in carriers}
 
     # variant-conditional heat demand on the heat balance
     for ir in admissible:
         d_sh = variant_delta_factor(cat, current_ir, ir, "space_heat")
         d_hw = variant_delta_factor(cat, current_ir, ir, "hot_water")
-        for s in range(steps):
-            coef = sh[s] * d_sh + hw[s] * d_hw
-            if coef:
-                m.add_term(r_heat[s], v_variant[ir], -coef)
+        m.add_terms(r_heat, v_variant[ir], -(sh * d_sh + hw * d_hw))
 
     bus_rows = {"heat": r_heat, "electricity": r_el, "cooling": r_cool}
     for u in units:
         spec = u.spec
         if spec.kind == KIND_CONVERTER:
             out_ids = v_out[u.key]
+            eff = np.array([spec.efficiency_at(s) for s in seasons])
             rows = bus_rows.get(spec.output)
-            eff = eff_per_unit[u.key]
-            for s in range(steps):
-                if rows is not None:
-                    m.add_term(rows[s], out_ids[s], 1.0)
-                if spec.byproduct is not None:
-                    bp_rows = bus_rows.get(spec.byproduct[0])
-                    if bp_rows is not None:
-                        m.add_term(bp_rows[s], out_ids[s], spec.byproduct[1])
-                if spec.carrier == "electricity":
-                    m.add_term(r_el[s], out_ids[s], -1.0 / eff[s])
-                elif spec.carrier in r_fuel:
-                    m.add_term(r_fuel[spec.carrier][s], out_ids[s], -1.0 / eff[s])
+            if rows is not None:
+                m.add_terms(rows, out_ids, 1.0)
+            if spec.byproduct is not None:
+                bp_rows = bus_rows.get(spec.byproduct[0])
+                if bp_rows is not None:
+                    m.add_terms(bp_rows, out_ids, spec.byproduct[1])
+            if spec.carrier == "electricity":
+                m.add_terms(r_el, out_ids, -1.0 / eff)
+            elif spec.carrier in r_fuel:
+                m.add_terms(r_fuel[spec.carrier], out_ids, -1.0 / eff)
         elif spec.kind == KIND_STORAGE:
             rows = bus_rows.get(spec.output)
-            if rows is None:
-                continue
-            for s in range(steps):
-                m.add_term(rows[s], v_dis[u.key][s], 1.0)
-                m.add_term(rows[s], v_ch[u.key][s], -1.0)
+            if rows is not None:
+                m.add_terms(rows, v_dis[u.key], 1.0)
+                m.add_terms(rows, v_ch[u.key], -1.0)
 
     for c in carriers:
-        for s in range(steps):
-            m.add_term(r_fuel[c][s], v_imp[c][s], 1.0)
-    for s in range(steps):
-        m.add_term(r_el[s], v_imp["electricity"][s], 1.0)
-        m.add_term(r_el[s], v_exp[s], -1.0)
+        m.add_terms(r_fuel[c], v_imp[c], 1.0)
+    m.add_terms(r_el, v_imp["electricity"], 1.0)
+    m.add_terms(r_el, v_exp, -1.0)
 
     # -- objective -------------------------------------------------------------
-    table = np.array(accounts, dtype=float).T.copy()  # one contiguous row per account
+    table = np.concatenate(accounts, axis=1)  # one contiguous row per account
     costs = CostBreakdown(*table[:5])
     scopes = table[5:]
     if objective_mode == "cost":

@@ -39,7 +39,6 @@ from .twin import (
     remaining_lifetime,
 )
 
-MEASURE_KINDS = ("renovation", "conversion", "addition")
 BUDGETED_KINDS = ("renovation", "conversion")
 
 
@@ -271,17 +270,6 @@ def _solve_all(tasks: list[_Task], workers: int) -> list[_BuildingOutcome]:
         return list(pool.map(_solve_one, tasks))
 
 
-def _budgeted_kinds(cat: Catalog, sol: BuildingSolution) -> set[str]:
-    """Which rate-capped measure classes this plan would consume."""
-    kinds: set[str] = set()
-    if sol.new_components:
-        kinds.add("renovation")
-    if any(cat.tech(t).is_heat_converter for t, _ in sol.installed) \
-            or any(cat.tech(i.tech_id).is_heat_converter for i in sol.dropped):
-        kinds.add("conversion")
-    return kinds
-
-
 def _expired_instances(building: Building, cat: Catalog, year: int) -> list[TechnologyInstance]:
     return [inst for inst in building.installed
             if remaining_lifetime(inst, cat.tech(inst.tech_id).lifetime, year) <= 0]
@@ -474,7 +462,9 @@ def plan_stage(
     denied: list[tuple[str, str]] = []
     granted: dict[str, set[str]] = {}
     for bid in sorted(score, key=lambda b: (-score[b], b)):
-        kinds = _budgeted_kinds(cat, solutions[bid])
+        kinds = {mm.kind for mm in _split_measures(
+            by_id[bid], cat, solutions[bid], mandatory_conversion=False,
+            decision_year=target_year, score=score[bid])}
         take: set[str] = set()
         for kind in ("conversion", "renovation"):
             if kind not in kinds:

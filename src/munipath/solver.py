@@ -1,7 +1,11 @@
 """Solver abstraction: model builder and the HiGHS solve.
 
 A ``SolveRequest`` is the problem and nothing else: objective, triplet
-matrix, row and column bounds, integrality.  ``solve(request, params)``
+matrix, row and column bounds, integrality.  A (row, column) pair may occur
+in the triplets more than once; its terms sum wherever the matrix is read
+(``_colwise``, the single summing step before HiGHS, and
+``SolveRequest.row_activity``).  ``LinearModel`` assembles a request in
+blocks of keyed columns, rows and terms.  ``solve(request, params)``
 takes the settings (MIP gap, time limit) and solves the request with
 HiGHS.  HiGHS runs through the extension module that scipy bundles, which
 ``load_highs`` loads from its file at the first solve, so
@@ -93,23 +97,26 @@ class SolveOutcome:
 
 
 class LinearModel:
-    """Incremental builder for a SolveRequest.
+    """Block-wise builder for a SolveRequest.
 
     Every column and row is identified by a hashable key, such as
     ``("out", unit, step)``; ``var_keys`` and ``row_keys`` list them in
-    index order.  Duplicate terms on the same (row, var) pair sum up, so
-    balance rows can be assembled piecewise.
+    index order.  ``add_vars`` and ``add_rows`` append a block of keys with
+    bounds broadcast over it and return the block's indices; ``add_terms``
+    appends matrix terms, broadcast likewise.  Terms are stored as given
+    and never summed here: a (row, column) pair may receive several, which
+    sum where the matrix is read, so balance rows can be assembled
+    piecewise.  A column's bounds are final when it is added.
     """
 
     def __init__(self):
         self._var_index: dict[Hashable, int] = {}
-        self._lb: list[float] = []
-        self._ub: list[float] = []
-        self._integer: list[bool] = []
         self._row_index: dict[Hashable, int] = {}
-        self._row_lb: list[float] = []
-        self._row_ub: list[float] = []
-        self._terms: dict[tuple[int, int], float] = {}
+        # appended blocks: (lb, ub, integer) per column block, (lb, ub) per
+        # row block, (rows, cols, vals) per term block
+        self._vars: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._rows: list[tuple[np.ndarray, np.ndarray]] = []
+        self._terms: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     @property
     def var_keys(self) -> tuple:
@@ -119,70 +126,74 @@ class LinearModel:
     def row_keys(self) -> tuple:
         return tuple(self._row_index)
 
-    # -- variables ----------------------------------------------------------
+    def add_vars(self, keys: list, lb=0.0, ub=INF, integer=False) -> np.ndarray:
+        """Append one column per key; returns their indices."""
+        n = len(keys)
+        lb, ub = np.full(n, lb, dtype=float), np.full(n, ub, dtype=float)
+        bad = lb > ub
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ValueError(f"variable {keys[j]!r}: lb {lb[j]} > ub {ub[j]}")
+        ids = _register(self._var_index, keys, "variable")
+        self._vars.append((lb, ub, np.full(n, integer, dtype=bool)))
+        return ids
+
+    def add_rows(self, keys: list, lb=-INF, ub=INF) -> np.ndarray:
+        """Append one row per key; returns their indices."""
+        n = len(keys)
+        lb, ub = np.full(n, lb, dtype=float), np.full(n, ub, dtype=float)
+        ids = _register(self._row_index, keys, "row")
+        self._rows.append((lb, ub))
+        return ids
 
     def add_var(self, key: Hashable, lb: float = 0.0, ub: float = INF,
                 integer: bool = False) -> int:
-        if key in self._var_index:
-            raise ValueError(f"duplicate variable {key!r}")
-        if lb > ub:
-            raise ValueError(f"variable {key!r}: lb {lb} > ub {ub}")
-        idx = len(self._lb)
-        self._var_index[key] = idx
-        self._lb.append(float(lb))
-        self._ub.append(float(ub))
-        self._integer.append(bool(integer))
-        return idx
-
-    def fix_var(self, var: int, value: float) -> None:
-        self._lb[var] = float(value)
-        self._ub[var] = float(value)
-
-    @property
-    def n_vars(self) -> int:
-        return len(self._lb)
-
-    # -- rows ---------------------------------------------------------------
+        return int(self.add_vars([key], lb, ub, integer)[0])
 
     def add_row(self, key: Hashable, lb: float = -INF, ub: float = INF) -> int:
-        if key in self._row_index:
-            raise ValueError(f"duplicate row {key!r}")
-        idx = len(self._row_lb)
-        self._row_index[key] = idx
-        self._row_lb.append(float(lb))
-        self._row_ub.append(float(ub))
-        return idx
+        return int(self.add_rows([key], lb, ub)[0])
 
-    def add_term(self, row: int, var: int, coef: float) -> None:
-        if coef == 0.0:
-            return
-        key = (row, var)
-        self._terms[key] = self._terms.get(key, 0.0) + float(coef)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self._row_lb)
-
-    # -- assembly -----------------------------------------------------------
+    def add_terms(self, rows, cols, coefs) -> None:
+        """Append the terms ``coefs`` at (``rows``, ``cols``), broadcast
+        against each other; zero coefficients are dropped."""
+        shape = np.broadcast(rows, cols, coefs).shape
+        coefs = np.full(shape, coefs, dtype=float)
+        keep = coefs != 0.0
+        self._terms.append((np.full(shape, rows, dtype=np.int64)[keep],
+                            np.full(shape, cols, dtype=np.int64)[keep], coefs[keep]))
 
     def build(self, obj: np.ndarray) -> SolveRequest:
         """The request minimizing ``obj``, one coefficient per column."""
         obj = np.asarray(obj, dtype=float)
-        if obj.shape != (self.n_vars,):
-            raise ValueError(f"objective of shape {obj.shape} for {self.n_vars} columns")
-        keys = sorted(self._terms)
-        rows = np.array([k[0] for k in keys], dtype=np.int64)
-        cols = np.array([k[1] for k in keys], dtype=np.int64)
-        vals = np.array([self._terms[k] for k in keys], dtype=float)
+        n = len(self._var_index)
+        if obj.shape != (n,):
+            raise ValueError(f"objective of shape {obj.shape} for {n} columns")
+        var_lb, var_ub, integrality = _stack(self._vars, (float, float, bool))
+        row_lb, row_ub = _stack(self._rows, (float, float))
+        a_rows, a_cols, a_vals = _stack(self._terms, (np.int64, np.int64, float))
         return SolveRequest(
-            obj=obj,
-            a_rows=rows, a_cols=cols, a_vals=vals,
-            row_lb=np.array(self._row_lb, dtype=float),
-            row_ub=np.array(self._row_ub, dtype=float),
-            var_lb=np.array(self._lb, dtype=float),
-            var_ub=np.array(self._ub, dtype=float),
-            integrality=np.array(self._integer, dtype=bool),
+            obj=obj, a_rows=a_rows, a_cols=a_cols, a_vals=a_vals,
+            row_lb=row_lb, row_ub=row_ub,
+            var_lb=var_lb, var_ub=var_ub, integrality=integrality,
         )
+
+
+def _register(index: dict, keys: list, what: str) -> np.ndarray:
+    """Number ``keys`` on from the end of ``index`` and add them; a key
+    already there, or twice in ``keys``, raises and adds nothing."""
+    start = len(index)
+    block = dict(zip(keys, range(start, start + len(keys))))
+    for i, key in enumerate(keys):
+        if key in index or block[key] != start + i:
+            raise ValueError(f"duplicate {what} {key!r}")
+    index.update(block)
+    return np.arange(start, start + len(keys), dtype=np.int64)
+
+
+def _stack(blocks: list[tuple], dtypes: tuple) -> list[np.ndarray]:
+    """The blocks' arrays joined field by field."""
+    return [np.concatenate([np.empty(0, dtype), *(b[k] for b in blocks)])
+            for k, dtype in enumerate(dtypes)]
 
 
 # ---------------------------------------------------------------------------

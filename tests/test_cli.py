@@ -64,6 +64,19 @@ def test_gen_fixture_then_validate(tmp_path):
     assert "4 buildings" in res.stdout
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--buildings", "0"), ("--buildings", "-3"),
+    ("--resolution", "7"), ("--resolution", "0"), ("--resolution", "-60"),
+])
+def test_gen_fixture_bad_argument_exits_2(tmp_path, capsys, option, value):
+    out = tmp_path / "twin.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen-fixture", "--out", str(out), option, value])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_duplicate_id_exits_1(tmp_path):
     twin_path = tmp_path / "twin.json"
     gen = run_cli("gen-fixture", "--out", str(twin_path), "--buildings", "2")

@@ -1,6 +1,7 @@
 """Per-building MILP: hand oracles, structure, verification, invariances."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from munipath.model import (
     extract_solution,
     optimize_building,
 )
-from munipath.solver import solve
+from munipath.fixtures import make_fixture_twin
+from munipath.solver import _colwise, solve
 from munipath.twin import (
     Building,
     DemandProfile,
@@ -331,3 +333,30 @@ def test_model_optimum_matches_exhaustive_enumeration(cat, scen):
         assert out.ok, f"instance {k}"
         assert best is not None
         assert out.objective == pytest.approx(best, rel=1e-6), f"instance {k}"
+
+
+# SHA-256 of each role's request for building b002 (a gas boiler and a buffer
+# tank) of the 2-building 240-minute fixture, seed 11: a formulation change
+# must update these on purpose.
+PINNED_REQUESTS = {
+    "frozen": "ed8ce727b8e7a1106b531f4b043edee7a9d4aacb08b77909bbaafcad42430568",
+    "free": "a67d6d5d3dced1f1cbe70c8b5259b729aa1ebbaf2d53e547d2529faab1f00365",
+    "additions_only": "0ab3f32c4042132e3839c0b1fecff294fe4b2715a000ca7c343e5d4659de12fa",
+}
+
+
+@pytest.mark.parametrize("role, options", [
+    ("frozen", dict(allow_refurb=False, allow_plant_change=False)),
+    ("free", {}),
+    ("additions_only", dict(allow_plant_change="additions_only")),
+])
+def test_build_model_request_is_pinned(cat, scen, role, options):
+    twin = make_fixture_twin(2, seed=11, grid=TimeGrid.representative_days(240))
+    arts = build_model(twin.building("b002"), cat, scen, twin.grid,
+                       target_year=2030, period_years=7, **options)
+    req = arts.request
+    digest = hashlib.sha256(repr((arts.var_keys, arts.row_keys)).encode())
+    for part in (req.obj, req.var_lb, req.var_ub, req.row_lb, req.row_ub,
+                 req.integrality, *_colwise(req)):
+        digest.update(part.tobytes())  # native byte order: little-endian
+    assert digest.hexdigest() == PINNED_REQUESTS[role]

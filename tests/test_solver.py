@@ -1,6 +1,7 @@
 """Solver layer: HiGHS against the reference oracle, certificates, capacity guards."""
 
 import dataclasses
+import re
 import subprocess
 import sys
 import warnings
@@ -13,6 +14,7 @@ from munipath.solver import (
     SolveRequest,
     SolveStatus,
     SolverError,
+    _colwise,
     solve,
 )
 
@@ -347,22 +349,21 @@ def test_highs_refuses_an_out_of_range_option():
 
 def test_linear_model_accumulates_duplicate_terms():
     lm = LinearModel()
-    x = lm.add_var(("x",), 0.0, 5.0)
-    r = lm.add_row(("cap",), -INF, 4.0)
-    lm.add_term(r, x, 1.0)
-    lm.add_term(r, x, 2.0)
+    (x,) = lm.add_vars([("x",)], 0.0, 5.0)
+    (r,) = lm.add_rows([("cap",)], -INF, 4.0)
+    lm.add_terms(r, x, 1.0)
+    lm.add_terms(r, x, 2.0)
     req = lm.build([0.0])
     assert dense_matrix(req)[0, 0] == pytest.approx(3.0)
+    assert _colwise(req)[2].tolist() == [3.0]  # one entry reaches HiGHS
 
 
 def test_linear_model_objective_and_bounds():
     lm = LinearModel()
-    x = lm.add_var(("x",), 0.0, 10.0)
-    y = lm.add_var(("y",), 0.0, 10.0, integer=True)
-    tie = lm.add_row(("tie",), 1.0, 1.0)
-    lm.add_term(tie, x, 1.0)
-    lm.add_term(tie, y, -1.0)
-    lm.fix_var(y, 4.0)
+    x, y = lm.add_vars([("x",), ("y",)], lb=[0.0, 4.0], ub=[10.0, 4.0],
+                       integer=[False, True])
+    (tie,) = lm.add_rows([("tie",)], 1.0, 1.0)
+    lm.add_terms(tie, [x, y], [1.0, -1.0])
     with pytest.raises(ValueError, match="objective"):
         lm.build([3.0])  # one coefficient per column
     req = lm.build([3.0, -3.0])
@@ -375,6 +376,32 @@ def test_linear_model_objective_and_bounds():
     assert out.status is SolveStatus.OPTIMAL
     assert out.x[0] == pytest.approx(5.0)
 
+
+def test_linear_model_blocks_broadcast_and_fail_whole():
+    lm = LinearModel()
+    cols = lm.add_vars([("out", s) for s in range(3)], ub=[1.0, 2.0, 3.0], integer=True)
+    rows = lm.add_rows([("cap", s) for s in range(3)], ub=0.0)
+    assert cols.tolist() == rows.tolist() == [0, 1, 2]
+    lm.add_terms(rows, cols, [1.0, 0.0, -2.0])  # the zero is dropped
+    lm.add_terms(rows[1], [], 5.0)  # an empty block adds nothing
+    req = lm.build(np.zeros(3))
+    assert req.var_lb.tolist() == [0.0] * 3 and req.var_ub.tolist() == [1.0, 2.0, 3.0]
+    assert req.integrality.tolist() == [True] * 3
+    assert req.row_lb.tolist() == [-INF] * 3 and req.row_ub.tolist() == [0.0] * 3
+    assert list(zip(req.a_rows.tolist(), req.a_cols.tolist(), req.a_vals.tolist())) \
+        == [(0, 0, 1.0), (2, 2, -2.0)]
+    # a bad block raises naming its key and adds none of its keys or bounds
+    for keys in ([("in",), ("in",)], [("new",), ("out", 1)]):
+        with pytest.raises(ValueError, match=re.escape(f"duplicate variable {keys[1]!r}")):
+            lm.add_vars(keys)
+    with pytest.raises(ValueError, match=re.escape("duplicate row ('cap', 0)")):
+        lm.add_rows([("extra",), ("cap", 0)])
+    with pytest.raises(ValueError, match=re.escape("variable ('bad', 1): lb 2.0 > ub 1.0")):
+        lm.add_vars([("bad", 0), ("bad", 1)], lb=[0.0, 2.0], ub=1.0)
+    assert lm.var_keys == tuple(("out", s) for s in range(3))
+    assert lm.row_keys == tuple(("cap", s) for s in range(3))
+    req = lm.build(np.zeros(3))
+    assert req.var_ub.tolist() == [1.0, 2.0, 3.0] and req.row_ub.tolist() == [0.0] * 3
 
 
 def test_linear_model_rejects_duplicate_keys():

@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 
 from .docio import dumps, read_text, write_text
-from .twin import COMPONENTS, HEAT_VECTORS, Building
+from .twin import COMPONENTS, HEAT_VECTORS, Building, TechnologyInstance, remaining_lifetime
 
 PRICED_CARRIERS = ("electricity", "gas", "oil", "pellets", "woodchips", "heat_network")
 FREE_CARRIERS = ("solar", "ambient")
@@ -350,6 +350,12 @@ def effective_demand(building: Building, variant_index: int,
             arr = arr * variant_delta_factor(cat, current, variant_index, vector)
         out[vector] = arr
     return out
+
+
+def in_service(instances, cat: Catalog, year: int) -> list[TechnologyInstance]:
+    """The units that still have service life left at ``year``."""
+    return [inst for inst in instances
+            if remaining_lifetime(inst, cat.tech(inst.tech_id).lifetime, year) > 0]
 
 
 # ---------------------------------------------------------------------------

@@ -50,15 +50,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pathway", help="plan a transformation pathway")
     p.add_argument("twin", type=pathlib.Path, help="twin JSON document")
     _add_data_args(p)
-    p.add_argument("--periods", required=True, type=_stage_years,
+    p.add_argument("--periods", required=True, type=_checked(
+                       lambda v: [int(y) for y in v.split(",") if y.strip()],
+                       lambda ys: len(ys) >= 2 and all(a < b for a, b in zip(ys, ys[1:])),
+                       "at least two strictly increasing years"),
                    help="comma-separated stage years, first is the status quo "
                         "(e.g. 2023,2030,2045)")
     p.add_argument("--out-dir", default=".", help="output directory (default: .)")
     p.add_argument("--objective", default="cost",
                    choices=("cost", "emission", "weighted"))
-    p.add_argument("--mip-gap", type=_mip_gap, default=1e-4,
+    p.add_argument("--mip-gap", default=1e-4, type=_checked(
+                       float, lambda g: g >= 0 and math.isfinite(g),
+                       "a finite number of at least 0"),
                    help="relative MIP gap (default 1e-4)")
-    p.add_argument("--time-limit", type=_positive_seconds, default=None,
+    p.add_argument("--time-limit", default=None, type=_checked(
+                       float, lambda t: t > 0, "a positive number of seconds"),
                    help="per-solve time limit in seconds (default: none)")
     p.add_argument("--workers", type=_positive_int, default=None,
                    help="parallel building solves (default: usable CPUs)")
@@ -75,8 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-fixture", help="generate a synthetic twin")
     p.add_argument("--out", default="twin.json", help="output path (default: twin.json)")
     p.add_argument("--buildings", type=_positive_int, default=20)
-    p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--resolution", type=_step_minutes, default=60,
+    p.add_argument("--seed", type=_checked(int, lambda n: n >= 0, "an integer of at least 0"),
+                   default=11)
+    p.add_argument("--resolution", default=60, type=_checked(
+                       int, lambda n: n >= 1 and 1440 % n == 0, "a divisor of 1440 minutes"),
                    help="minutes per step, a divisor of 1440 (default 60)")
     p.add_argument("--full-year", action="store_true",
                    help="365-day hourly grid instead of 4 representative days")
@@ -91,51 +99,21 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
                    help="scenario frame JSON (default: built-in)")
 
 
-def _positive_seconds(value: str) -> float:
-    try:
-        if float(value) > 0:
-            return float(value)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive number of seconds, got {value!r}")
+def _checked(convert, ok, expected: str):
+    """An argparse type: ``convert`` the text and accept the value where
+    ``ok`` holds; otherwise the error names what was ``expected``."""
+    def check(value: str):
+        try:
+            result = convert(value)
+            if ok(result):
+                return result
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
+    return check
 
 
-def _stage_years(value: str) -> list[int]:
-    try:
-        years = [int(y) for y in value.split(",") if y.strip()]
-    except ValueError:
-        years = []
-    if len(years) >= 2 and all(a < b for a, b in zip(years, years[1:])):
-        return years
-    raise argparse.ArgumentTypeError(
-        f"expected at least two strictly increasing years, got {value!r}")
-
-
-def _mip_gap(value: str) -> float:
-    try:
-        if float(value) >= 0 and math.isfinite(float(value)):
-            return float(value)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a finite number of at least 0, got {value!r}")
-
-
-def _positive_int(value: str) -> int:
-    try:
-        if int(value) >= 1:
-            return int(value)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {value!r}")
-
-
-def _step_minutes(value: str) -> int:
-    try:
-        if int(value) >= 1 and 1440 % int(value) == 0:
-            return int(value)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a divisor of 1440 minutes, got {value!r}")
+_positive_int = _checked(int, lambda n: n >= 1, "an integer of at least 1")
 
 
 def _require_file(path: pathlib.Path) -> None:

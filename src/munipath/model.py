@@ -26,6 +26,7 @@ from .catalog import (
     TechnologySpec,
     annuity_factor,
     effective_demand,
+    in_service,
     residual_value,
     variant_components,
     variant_cost,
@@ -48,6 +49,10 @@ BOUND_TOL = 1e-6
 # solution values this close to a column bound are taken as on it
 BOUND_SNAP_TOL = 1e-9
 CLOSURE_REL_TOL = 1e-6
+# check_solution: a balance row may miss by this share of its gross
+# activity, a storage transition or charge level by this many kWh
+ROW_REL_TOL = 1e-6
+SOC_TOL_KWH = 1e-6
 
 SCOPE1_CARRIERS = ("gas", "oil", "pellets", "woodchips")
 SCOPE2_CARRIERS = ("electricity", "heat_network")
@@ -93,6 +98,12 @@ class ModelArtifacts:
     # the builder's key of each column and row, in index order
     var_keys: tuple[tuple, ...]
     row_keys: tuple[tuple, ...]
+    # the column indices of each family the solution is read by: "keep" and
+    # "drop" per alive unit, "variant" per variant index, "inst" and "size"
+    # per candidate id (in id order), "out" per converter unit key and
+    # "imp" per carrier (one column per step each), "exp" per step, and
+    # "soc", every storage charge level
+    cols: dict = field(repr=False)
     # the accounts of each column per unit of its value: costs in EUR/yr,
     # one array per CostBreakdown field; scope 1, 2 and 3 emissions in
     # kgCO2eq/yr, shape (3, n); the domain its costs are reported under
@@ -197,8 +208,7 @@ def build_model(
     seasons = grid.season_of_step()
     af_period = annuity_factor(rate, period_years)
 
-    alive = [inst for inst in building.installed
-             if remaining_lifetime(inst, cat.tech(inst.tech_id).lifetime, target_year) > 0]
+    alive = in_service(building.installed, cat, target_year)
 
     units: list[_Unit] = []
     for i, inst in enumerate(alive):
@@ -236,8 +246,8 @@ def build_model(
         return ids
 
     # -- keep / dismantle of existing units ----------------------------------
-    v_keep: dict[int, int] = {}
-    v_drop: dict[int, int] = {}
+    v_keep: list[int] = []
+    v_drop: list[int] = []
     for i, inst in enumerate(alive):
         spec = cat.tech(inst.tech_id)
         remaining = remaining_lifetime(inst, spec.lifetime, target_year)
@@ -247,7 +257,7 @@ def build_model(
         trans = include_transition_costs
         frozen = (not allow_plant_change
                   or (allow_plant_change == "additions_only" and spec.is_heat_converter))
-        v_keep[i], v_drop[i] = new_var(
+        keep, drop = new_var(
             [("keep", i), ("drop", i)], lb=(1.0, 0.0) if frozen else 0.0,
             ub=(1.0, 0.0) if frozen else 1.0, integer=True, dom=dom,
             opex=(spec.opex_fixed * inst.size, 0.0),
@@ -256,7 +266,9 @@ def build_model(
             s3=(0.0, (1.0 - EMBODIED_INSTALL_SHARE) * spec.embodied * inst.size / period_years
                 if trans else 0.0),
         )
-        m.add_terms(m.add_row(("keepdrop", i), 1.0, 1.0), (v_keep[i], v_drop[i]), 1.0)
+        m.add_terms(m.add_row(("keepdrop", i), 1.0, 1.0), (keep, drop), 1.0)
+        v_keep.append(keep)
+        v_drop.append(drop)
 
     # -- new installations ----------------------------------------------------
     v_inst: dict[str, int] = {}
@@ -347,6 +359,7 @@ def build_model(
     v_out: dict[str, np.ndarray] = {}
     v_ch: dict[str, np.ndarray] = {}
     v_dis: dict[str, np.ndarray] = {}
+    v_soc: list[np.ndarray] = []
     step_range = range(steps)
 
     for u in units:
@@ -371,6 +384,7 @@ def build_model(
                 [(tag, u.key, s) for s in step_range for tag in ("ch", "dis", "soc")],
                 dom=dom).reshape(steps, 3).T
             v_ch[u.key], v_dis[u.key] = ids_ch, ids_dis
+            v_soc.append(ids_soc)
             retention = (1.0 - spec.loss_per_hour) ** h
             p_lim = spec.power_per_capacity * h
             r = m.add_rows([(label, u.key, s) for s in step_range
@@ -479,6 +493,10 @@ def build_model(
             "size_grid": {k: tuple(v) for k, v in size_grid.items()},
         },
         alive=alive, units=units, var_keys=m.var_keys, row_keys=m.row_keys,
+        cols={"keep": np.array(v_keep, dtype=int), "drop": np.array(v_drop, dtype=int),
+              "variant": v_variant, "inst": v_inst, "size": v_size, "out": v_out,
+              "imp": v_imp, "exp": v_exp,
+              "soc": np.concatenate([np.empty(0, dtype=int), *v_soc])},
         costs=costs, scopes=scopes, domain=np.array(domain),
     )
 
@@ -492,13 +510,6 @@ def _label(key: tuple) -> str:
     ``cap[x0:gas_boiler,3]``."""
     tag, *rest = key
     return f"{tag}[{','.join(map(str, rest))}]" if rest else tag
-
-
-def _binary_value(x: np.ndarray, idx: int) -> int:
-    v = float(x[idx])
-    if abs(v - round(v)) > BINARY_TOL:
-        raise ModelError(f"binary variable {idx} is fractional: {v}")
-    return 1 if v > 0.5 else 0
 
 
 def extract_solution(arts: ModelArtifacts, outcome: SolveOutcome) -> BuildingSolution:
@@ -529,47 +540,25 @@ def extract_solution(arts: ModelArtifacts, outcome: SolveOutcome) -> BuildingSol
                 f"objective closure failed: solver {outcome.objective!r} vs "
                 f"reconstructed {recon!r}")
 
-    variant_index = None
-    kept, dropped = [], []
-    installed: list[tuple[str, float]] = []
-    annual_output: dict[str, float] = {}
-    imports: dict[str, float] = {}
-    export = 0.0
+    cols = arts.cols
+    ints = np.flatnonzero(arts.request.integrality)
+    fractional = np.abs(x[ints] - np.round(x[ints])) > BINARY_TOL
+    if fractional.any():
+        j = ints[np.argmax(fractional)]
+        raise ModelError(f"binary {_label(arts.var_keys[j])} is fractional: {x[j]}")
+    chosen = np.flatnonzero(x[cols["variant"]] > 0.5)
+    if len(chosen) != 1:
+        raise ModelError(f"{len(chosen)} refurbishment variants selected, expected one")
+    variant_index = int(chosen[0])
+
+    def step_total(ids: np.ndarray) -> float:
+        # summed in step order: a dot product rounds differently
+        return float(np.cumsum(x[ids] * w)[-1])
+
+    annual_output = {key: step_total(ids) for key, ids in cols["out"].items()}
+    imports = {c: step_total(ids) for c, ids in cols["imp"].items()}
+    export = step_total(cols["exp"])
     pv_gen = 0.0
-
-    size_of: dict[str, float] = {}
-    inst_of: dict[str, int] = {}
-    for idx, kind in enumerate(arts.var_keys):
-        tag = kind[0]
-        if tag == "keep":
-            if _binary_value(x, idx):
-                kept.append(arts.alive[kind[1]])
-        elif tag == "drop":
-            if _binary_value(x, idx):
-                dropped.append(arts.alive[kind[1]])
-        elif tag == "variant":
-            if _binary_value(x, idx):
-                if variant_index is not None:
-                    raise ModelError("more than one refurbishment variant selected")
-                variant_index = kind[1]
-        elif tag == "inst":
-            inst_of[kind[1]] = _binary_value(x, idx)
-        elif tag == "size":
-            size_of[kind[1]] = float(x[idx])
-        elif tag == "out":
-            _, key, s = kind
-            annual_output[key] = annual_output.get(key, 0.0) + float(x[idx]) * w[s]
-        elif tag == "imp":
-            _, c, s = kind
-            imports[c] = imports.get(c, 0.0) + float(x[idx]) * w[s]
-        elif tag == "exp":
-            export += float(x[idx]) * w[kind[1]]
-    if variant_index is None:
-        raise ModelError("no refurbishment variant selected")
-    for tid, chosen in sorted(inst_of.items()):
-        if chosen:
-            installed.append((tid, size_of.get(tid, 0.0)))
-
     for u in arts.units:
         if u.spec.id == "pv" or (u.spec.carrier == "solar"
                                  and u.spec.output == "electricity"):
@@ -600,9 +589,10 @@ def extract_solution(arts: ModelArtifacts, outcome: SolveOutcome) -> BuildingSol
         objective=float(outcome.objective if outcome.objective is not None else recon),
         variant_index=variant_index,
         new_components=new_components,
-        kept=tuple(kept),
-        dropped=tuple(dropped),
-        installed=tuple(installed),
+        kept=tuple(arts.alive[i] for i in np.flatnonzero(x[cols["keep"]] > 0.5)),
+        dropped=tuple(arts.alive[i] for i in np.flatnonzero(x[cols["drop"]] > 0.5)),
+        installed=tuple((tid, float(x[cols["size"][tid]]))
+                        for tid, j in cols["inst"].items() if x[j] > 0.5),
         annual_output=annual_output,
         imports=imports,
         export=export,
@@ -617,8 +607,7 @@ def extract_solution(arts: ModelArtifacts, outcome: SolveOutcome) -> BuildingSol
     )
 
 
-def check_solution(arts: ModelArtifacts, x: np.ndarray,
-                   rel_tol: float = 1e-6, soc_tol_kwh: float = 1e-6) -> list[str]:
+def check_solution(arts: ModelArtifacts, x: np.ndarray) -> list[str]:
     """Structural verification of a solution vector against the model.
 
     Returns human-readable violations; an empty list means the plan honors
@@ -633,7 +622,7 @@ def check_solution(arts: ModelArtifacts, x: np.ndarray,
     gross = np.zeros(req.n_rows)
     np.add.at(gross, req.a_rows, np.abs(req.a_vals * x[req.a_cols]))
     scale = np.maximum(np.maximum(1.0, gross), np.where(np.isfinite(lo), np.abs(lo), 0.0))
-    slack = np.maximum(1e-7, rel_tol * scale)
+    slack = np.maximum(1e-7, ROW_REL_TOL * scale)
 
     tags = np.array([key[0] for key in arts.row_keys], dtype=object)
     balance = np.isin(tags, ("balance", "fuel"))
@@ -642,8 +631,8 @@ def check_solution(arts: ModelArtifacts, x: np.ndarray,
     broken = np.select(
         [balance, tags == "soc_tr", area, tags == "parallel_limit",
          tags == "keepdrop", tags == "variant_choice"],
-        [residual > rel_tol * scale,
-         residual > soc_tol_kwh,
+        [residual > ROW_REL_TOL * scale,
+         residual > SOC_TOL_KWH,
          act > hi + 1e-7 * scale,
          act > hi + 1e-7,
          residual > 1e-6,
@@ -667,9 +656,9 @@ def check_solution(arts: ModelArtifacts, x: np.ndarray,
         else:
             violations.append(f"{_label(key)}: activity {a:.6e} outside [{l}, {h}]")
 
-    for idx, key in enumerate(arts.var_keys):
-        if key[0] == "soc" and x[idx] < -soc_tol_kwh:
-            violations.append(f"{_label(key)}: negative charge {float(x[idx]):.3e}")
+    soc = arts.cols["soc"]
+    for idx in soc[x[soc] < -SOC_TOL_KWH]:
+        violations.append(f"{_label(arts.var_keys[idx])}: negative charge {float(x[idx]):.3e}")
     return violations
 
 

@@ -19,7 +19,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
-from .catalog import Catalog, variant_delta_factor
+from .catalog import Catalog, effective_demand, in_service
 from .docio import dumps
 from .model import (
     BuildingSolution,
@@ -36,7 +36,6 @@ from .twin import (
     RefurbState,
     TechnologyInstance,
     TimeGrid,
-    remaining_lifetime,
 )
 
 BUDGETED_KINDS = ("renovation", "conversion")
@@ -91,12 +90,6 @@ class TransformationPath:
     scenario_id: str
     catalog_id: str
     options: dict
-
-    def measures(self) -> list[Measure]:
-        out: list[Measure] = []
-        for st in self.stages:
-            out.extend(st.measures)
-        return out
 
     def stage(self, target_year: int) -> StageResult:
         for st in self.stages:
@@ -270,11 +263,6 @@ def _solve_all(tasks: list[_Task], workers: int) -> list[_BuildingOutcome]:
         return list(pool.map(_solve_one, tasks))
 
 
-def _expired_instances(building: Building, cat: Catalog, year: int) -> list[TechnologyInstance]:
-    return [inst for inst in building.installed
-            if remaining_lifetime(inst, cat.tech(inst.tech_id).lifetime, year) <= 0]
-
-
 def _split_measures(building: Building, cat: Catalog, sol: BuildingSolution,
                     *, mandatory_conversion: bool, decision_year: int,
                     score: float) -> list[Measure]:
@@ -386,23 +374,15 @@ def _commit(twin: EnergyTwin, cat: Catalog, measures: list[Measure],
                     installed.append(TechnologyInstance(
                         tech_id=tid, size=size, install_year=mm.implementation_year))
                 if mm.kind == "renovation" and mm.variant_index is not None:
-                    old_ir = state.variant_index
-                    new_ir = old_ir | mm.variant_index
-                    for vector in list(demand):
-                        f = variant_delta_factor(cat, old_ir, new_ir, vector) \
-                            if vector in ("space_heat", "hot_water") else 1.0
-                        if f != 1.0:
-                            prof = demand[vector]
-                            demand[vector] = DemandProfile(
-                                values=tuple(v * f for v in prof.values),
-                                resolution=prof.resolution)
+                    new_ir = state.variant_index | mm.variant_index
+                    demand = {v: DemandProfile(tuple(arr.tolist()), b.demand[v].resolution)
+                              for v, arr in effective_demand(b, new_ir, cat).items()}
                     state = RefurbState.from_index(new_ir)
 
         # natural end of life: expired units leave the stock silently
-        installed = [i for i in installed
-                     if remaining_lifetime(i, cat.tech(i.tech_id).lifetime, y1) > 0]
         new_buildings.append(replace(
-            b, installed=tuple(installed), refurb_state=state, demand=demand))
+            b, installed=tuple(in_service(installed, cat, y1)), refurb_state=state,
+            demand=demand))
     return replace(twin, buildings=tuple(new_buildings))
 
 
@@ -499,8 +479,9 @@ def plan_stage(
     for bid in sorted(solutions):
         b = by_id[bid]
         sol = solutions[bid]
-        expired = _expired_instances(b, cat, target_year)
-        heat_expired = [i for i in expired if cat.tech(i.tech_id).is_heat_converter]
+        alive = in_service(b.installed, cat, target_year)
+        heat_expired = [i for i in b.installed
+                        if i not in alive and cat.tech(i.tech_id).is_heat_converter]
         if heat_expired:
             building_expiry[bid] = min(
                 i.install_year + cat.tech(i.tech_id).lifetime for i in heat_expired)

@@ -122,7 +122,8 @@ def save_scenario(frame: ScenarioFrame, sink) -> None:
 
 def retrofit_budgets(frame: ScenarioFrame, n_buildings: int,
                      period_years: int) -> dict[str, int]:
-    """Whole-measure budgets for one planning period.
+    """Whole-measure budgets for one planning period: the cumulative quota
+    at the period's end.
 
     Rounding is down: a cap that yields less than one measure over the whole
     period allows none.
@@ -130,8 +131,8 @@ def retrofit_budgets(frame: ScenarioFrame, n_buildings: int,
     if n_buildings < 0 or period_years < 0:
         raise ValueError("counts must be non-negative")
     return {
-        "renovation": math.floor(frame.renovation_rate_cap * n_buildings * period_years),
-        "conversion": math.floor(frame.conversion_rate_cap * n_buildings * period_years),
+        "renovation": cumulative_quota(frame.renovation_rate_cap, n_buildings, period_years),
+        "conversion": cumulative_quota(frame.conversion_rate_cap, n_buildings, period_years),
     }
 
 

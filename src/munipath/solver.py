@@ -13,7 +13,7 @@ HiGHS.  HiGHS runs through the extension module that scipy bundles, which
 on, restarts are off, and branching uses pseudo-costs without a
 strong-branching warm-up (reliability threshold 0); these settings, and
 the measurements behind them, are given beside its options in
-``_solve_highs``.
+``solve``.
 
 All problems are minimization.  Row activities are two-sided
 (``row_lb <= A x <= row_ub``), variable bounds likewise.
@@ -200,15 +200,6 @@ def _stack(blocks: list[tuple], dtypes: tuple) -> list[np.ndarray]:
 # HiGHS (scipy's bundled extension)
 
 
-def solve(request: SolveRequest, params: dict | None = None) -> SolveOutcome:
-    """Solve a request with HiGHS.
-
-    ``params`` may give ``mip_gap`` (relative, default ``DEFAULT_MIP_GAP``)
-    and ``time_limit_s`` (per solve, default none).
-    """
-    return _solve_highs(request, params or {})
-
-
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
 
 # HiGHS model statuses by name.  A time or iteration limit is FEASIBLE only
@@ -286,7 +277,13 @@ def _colwise(request: SolveRequest) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return start.astype(np.int32), rows.astype(np.int32), vals.astype(float)
 
 
-def _solve_highs(request: SolveRequest, p: dict) -> SolveOutcome:
+def solve(request: SolveRequest, params: dict | None = None) -> SolveOutcome:
+    """Solve a request with HiGHS.
+
+    ``params`` may give ``mip_gap`` (relative, default ``DEFAULT_MIP_GAP``)
+    and ``time_limit_s`` (per solve, default none).
+    """
+    p = params or {}
     core = load_highs()
     t0 = time.monotonic()
     # Measured on the benchmark fixtures (two 5-building stocks) with scipy

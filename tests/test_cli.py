@@ -67,6 +67,7 @@ def test_gen_fixture_then_validate(tmp_path):
 @pytest.mark.parametrize("option, value", [
     ("--buildings", "0"), ("--buildings", "-3"),
     ("--resolution", "7"), ("--resolution", "0"), ("--resolution", "-60"),
+    ("--seed", "-1"),
 ])
 def test_gen_fixture_bad_argument_exits_2(tmp_path, capsys, option, value):
     out = tmp_path / "twin.json"

@@ -215,6 +215,73 @@ def test_extraction_projects_round_off_onto_bounds(cat, scen):
         extract_solution(arts, dataclasses.replace(outcome, x=x))
 
 
+def _key_scan(arts, x):
+    """The plan read off every column by its key alone, summing each step
+    total in step order."""
+    w = arts.grid.step_weights()
+    kept, dropped, chosen, size = [], [], [], {}
+    out, imports, export = {}, {}, 0.0
+    for j, key in enumerate(arts.var_keys):
+        tag = key[0]
+        if tag == "keep" and x[j] > 0.5:
+            kept.append(arts.alive[key[1]])
+        elif tag == "drop" and x[j] > 0.5:
+            dropped.append(arts.alive[key[1]])
+        elif tag == "inst" and x[j] > 0.5:
+            chosen.append(key[1])
+        elif tag == "size":
+            size[key[1]] = float(x[j])
+        elif tag == "out":
+            out[key[1]] = out.get(key[1], 0.0) + float(x[j]) * w[key[2]]
+        elif tag == "imp":
+            imports[key[1]] = imports.get(key[1], 0.0) + float(x[j]) * w[key[2]]
+        elif tag == "exp":
+            export += float(x[j]) * w[key[1]]
+    installed = tuple((tid, size[tid]) for tid in sorted(chosen))
+    return tuple(kept), tuple(dropped), installed, out, imports, export
+
+
+@pytest.mark.parametrize("minutes", [240, 60])
+@pytest.mark.parametrize("options", [
+    dict(allow_refurb=False, allow_plant_change=False), {}], ids=["frozen", "free"])
+def test_extraction_by_family_equals_a_key_scan(cat, scen, minutes, options):
+    twin = make_fixture_twin(3, seed=11, grid=TimeGrid.representative_days(minutes))
+    for b in twin.buildings:
+        arts = build_model(b, cat, scen, twin.grid, target_year=2023, period_years=7,
+                           **options)
+        outcome = solve(arts.request, params={"mip_gap": 1e-4})
+        plans = [outcome]
+        if not options:
+            # no fixture optimum drops a unit: read one that drops the first
+            x = np.array(outcome.x)
+            x[arts.cols["keep"][0]], x[arts.cols["drop"][0]] = 0.0, 1.0
+            plans.append(dataclasses.replace(outcome, x=x, objective=None))
+        for plan in plans:
+            sol = extract_solution(arts, plan)
+            kept, dropped, installed, out, imports, export = _key_scan(arts, sol.x)
+            assert sol.kept == kept and sol.dropped == dropped
+            assert sol.installed == installed
+            assert sol.annual_output == out
+            assert sol.imports == imports
+            assert sol.export == export
+        if not options:
+            assert sol.dropped == (arts.alive[0],)
+
+
+def test_extraction_needs_exactly_one_variant(cat, scen, twin20):
+    b = next(b for b in twin20.buildings if b.refurb_state.variant_index == 0)
+    arts = build_model(b, cat, scen, twin20.grid, target_year=2030, period_years=7)
+    outcome = solve(arts.request)
+    variants = arts.cols["variant"]
+    for picked in ((0, 1), ()):
+        x = np.array(outcome.x)
+        x[variants] = 0.0
+        x[variants[list(picked)]] = 1.0
+        bad = dataclasses.replace(outcome, x=x, objective=None)
+        with pytest.raises(ModelError, match=f"{len(picked)} refurbishment variants"):
+            extract_solution(arts, bad)
+
+
 # ---------------------------------------------------------------------------
 # Infeasibility surfaces
 

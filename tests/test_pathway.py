@@ -346,6 +346,19 @@ def test_commit_removes_expired_units_silently(cat):
     assert "grid_connection" in tech_ids
 
 
+def test_committed_demand_of_a_renovation_is_the_solution_demand_after(path6):
+    st1 = path6.stages[1]
+    w = path6.stages[0].twin_after.grid.step_weights()
+    renovated = [mm.building_id for mm in st1.measures_of("renovation")]
+    assert renovated, "the stage renovates no building"
+    for bid in renovated:
+        demand = st1.twin_after.building(bid).demand
+        after = st1.solutions[bid].demand_after
+        assert set(demand) == set(after)
+        for vector, annual in after.items():
+            assert float(demand[vector].as_array() @ w) == annual, (bid, vector)
+
+
 # ---------------------------------------------------------------------------
 # Mandatory conversions bypass the voluntary budget
 

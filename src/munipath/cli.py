@@ -65,7 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative MIP gap (default 1e-4)")
     p.add_argument("--time-limit", default=None, type=_checked(
                        float, lambda t: t > 0, "a positive number of seconds"),
-                   help="per-solve time limit in seconds (default: none)")
+                   help="per-solve time limit in seconds (default: none); the LP "
+                        "solves that find a free plan's starting incumbent fall "
+                        "outside it")
     p.add_argument("--workers", type=_positive_int, default=None,
                    help="parallel building solves (default: usable CPUs)")
     p.set_defaults(func=cmd_pathway)
@@ -165,10 +167,13 @@ def cmd_pathway(args) -> int:
     write_text(os.path.join(args.out_dir, "path.json"), dumps(doc))
     _emit_outputs(doc, args.out_dir, year=None)
 
-    print(f"{'stage':>6}  {'measures':>8}  {'cost EUR/a':>14}  {'emissions kg/a':>15}")
+    # a plan whose solve stopped at a limit carries its status in path.json
+    print(f"{'stage':>6}  {'measures':>8}  {'not optimal':>11}  {'cost EUR/a':>14}  "
+          f"{'emissions kg/a':>15}")
     for sd in doc["stages"]:
         rep = sd["report"]
-        print(f"{sd['target_year']:>6}  {len(sd['measures']):>8}  "
+        unproven = sum("status" in b for b in sd["buildings"].values())
+        print(f"{sd['target_year']:>6}  {len(sd['measures']):>8}  {unproven:>11}  "
               f"{rep['cost_breakdown']['objective']:>14.2f}  "
               f"{rep['emissions'].get('total', 0.0):>15.1f}")
     return EXIT_OK
@@ -185,14 +190,19 @@ def _usable_cpus() -> int:
 def cmd_report(args) -> int:
     _require_file(args.document)
     doc = json.loads(read_text(args.document)[0])
-    if "stages" not in doc or "stage_years" not in doc:
-        print(f"{args.document} is not a pathway document", file=sys.stderr)
+    try:
+        if "stages" not in doc or "stage_years" not in doc:
+            print(f"{args.document} is not a pathway document", file=sys.stderr)
+            return EXIT_IO
+        if args.year is not None and args.year not in doc["stage_years"]:
+            print(f"no stage {args.year} in document", file=sys.stderr)
+            return EXIT_IO
+        os.makedirs(args.out_dir, exist_ok=True)
+        _emit_outputs(doc, args.out_dir, year=args.year)
+    except (KeyError, TypeError) as exc:
+        # a field missing from the document or of the wrong type
+        print(f"I/O failure: malformed pathway document: {exc!r}", file=sys.stderr)
         return EXIT_IO
-    if args.year is not None and args.year not in doc["stage_years"]:
-        print(f"no stage {args.year} in document", file=sys.stderr)
-        return EXIT_IO
-    os.makedirs(args.out_dir, exist_ok=True)
-    _emit_outputs(doc, args.out_dir, year=args.year)
     return EXIT_OK
 
 
@@ -231,7 +241,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"I/O failure: corrupt document: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (OSError, KeyError, TypeError) as exc:
+    except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

@@ -28,7 +28,7 @@ from .model import (
     optimize_building,
 )
 from .scenario import ScenarioFrame, cumulative_quota, retrofit_budgets
-from .solver import load_highs
+from .solver import SolveStatus, load_highs
 from .twin import (
     Building,
     DemandProfile,
@@ -197,7 +197,14 @@ def _stage_dict(st: StageResult) -> dict:
 
 
 def _solution_dict(sol: BuildingSolution) -> dict:
+    # status and gap only where optimality was not proven, so that documents
+    # of fully solved runs keep their bytes; a gap without a finite bound
+    # (the limit came before the root LP) is null
+    proof = {} if sol.status is SolveStatus.OPTIMAL else {
+        "status": sol.status.value,
+        "gap": sol.gap if sol.gap is not None and math.isfinite(sol.gap) else None}
     return {
+        **proof,
         "objective": sol.objective,
         "variant_index": sol.variant_index,
         "new_components": list(sol.new_components),

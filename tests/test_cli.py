@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line front end (subprocess level)."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from munipath import cli, model, pathway
 from munipath.catalog import default_catalog, save_catalog
 from munipath.fixtures import make_fixture_twin
 from munipath.scenario import default_scenario, save_scenario
-from munipath.solver import SolverError
+from munipath.solver import SolverError, SolveStatus
 from munipath.twin import load_twin, save_twin
 
 EXE = [sys.executable, "-m", "munipath"]
@@ -272,7 +273,7 @@ def test_broken_worker_pool_exits_3(twin2, tmp_path, monkeypatch, capsys):
 
 
 def test_solver_error_exits_3(twin2, tmp_path, monkeypatch, capsys):
-    def broken_solve(request, params=None):
+    def broken_solve(request, params=None, start=None):
         raise SolverError("the solver crashed")
 
     monkeypatch.setattr(model, "solve", broken_solve)
@@ -282,6 +283,64 @@ def test_solver_error_exits_3(twin2, tmp_path, monkeypatch, capsys):
     assert code == 3
     assert "solver failure" in err
     assert "Traceback" not in err
+
+
+def _summary_counts(stdout: str) -> list[str]:
+    """The "not optimal" column of the pathway summary, one entry per stage."""
+    return [line.split()[2] for line in stdout.splitlines()[1:]]
+
+
+def test_optimal_plans_carry_no_status(small_run):
+    _, _, out_dir, res = small_run
+    doc = json.loads((out_dir / "path.json").read_text())
+    for sd in doc["stages"]:
+        for entry in sd["buildings"].values():
+            assert "status" not in entry and "gap" not in entry
+    assert _summary_counts(res.stdout) == ["0", "0"]
+
+
+def test_plans_not_proven_optimal_are_marked(twin2, tmp_path, monkeypatch, capsys):
+    # every solve with a plan stops short of the proof, as at a time limit
+    real_solve = model.solve
+
+    def time_limited(request, params=None, start=None):
+        out = real_solve(request, params=params)
+        if out.status is not SolveStatus.OPTIMAL:
+            return out
+        return dataclasses.replace(out, status=SolveStatus.FEASIBLE, gap=0.25)
+
+    monkeypatch.setattr(model, "solve", time_limited)
+    out_dir = tmp_path / "out"
+    code = cli.main(["pathway", str(twin2), "--periods", "2023,2030",
+                     "--out-dir", str(out_dir), "--workers", "1"])
+    assert code == 0
+    doc = json.loads((out_dir / "path.json").read_text())
+    counts = []
+    for sd in doc["stages"]:
+        assert sd["buildings"]
+        for entry in sd["buildings"].values():
+            assert entry["status"] == "feasible" and entry["gap"] == 0.25
+        counts.append(str(len(sd["buildings"])))
+    assert _summary_counts(capsys.readouterr().out) == counts
+
+
+def test_a_bug_in_the_planner_is_not_an_io_failure(twin2, tmp_path, monkeypatch, capsys):
+    def buggy_solve(request, params=None, start=None):
+        raise TypeError("a bug inside the planner")
+
+    monkeypatch.setattr(model, "solve", buggy_solve)
+    with pytest.raises(TypeError, match="a bug inside the planner"):
+        cli.main(["pathway", str(twin2), "--periods", "2023,2030",
+                  "--out-dir", str(tmp_path / "out"), "--workers", "1"])
+    assert "I/O failure" not in capsys.readouterr().err
+
+
+def test_report_of_a_malformed_document_exits_2(tmp_path, capsys):
+    doc = tmp_path / "path.json"
+    doc.write_text(json.dumps({"stage_years": [2023], "stages": [{"target_year": 2023}]}))
+    code = cli.main(["report", str(doc), "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert "I/O failure: malformed pathway document" in capsys.readouterr().err
 
 
 def test_default_workers_are_the_usable_cpus(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 
 from munipath.solver import (
     LinearModel,
+    Relaxation,
     SolveRequest,
     SolveStatus,
     SolverError,
@@ -102,6 +103,31 @@ def test_highs_reports_node_count():
     assert out.objective == pytest.approx(reference_solve(_branching_mip()).objective,
                                           abs=1e-9)
     assert reference_solve(_tiny_mip()).nodes is None
+
+
+def test_highs_refuses_a_start_of_the_wrong_length():
+    with pytest.raises(SolverError, match="start of 2 values for 3 columns"):
+        solve(_tiny_mip(), start=np.zeros(2))
+
+
+def test_highs_keeps_the_optimum_from_any_start():
+    want = solve(_branching_mip())
+    for start in (want.x, np.zeros(8), np.ones(8)):  # optimal, feasible, infeasible
+        out = solve(_branching_mip(), start=start)
+        assert out.status is SolveStatus.OPTIMAL
+        assert out.objective == pytest.approx(want.objective, abs=1e-9)
+
+
+def test_relaxation_solves_again_after_bound_changes():
+    lp = Relaxation(_tiny_mip())
+    objective, x = lp.run()
+    # the LP optimum takes a and c whole and b fractionally: 2 + 3/3 + 1 = 4
+    assert objective == pytest.approx(-5.0 - 4.0 / 3.0 - 3.0, abs=1e-9)
+    assert x == pytest.approx([1.0, 1.0 / 3.0, 1.0], abs=1e-9)
+    lp.bound(np.array([1]), [0.0], [0.0])
+    assert lp.run()[0] == pytest.approx(-8.0, abs=1e-9)
+    lp.bound(np.array([0, 1]), [1.0, 1.0], [1.0, 1.0])  # 2 + 3 > 4
+    assert lp.run() is None
 
 
 @solvers

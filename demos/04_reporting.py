@@ -33,15 +33,15 @@ path = plan_pathway(twin, cat, scen, [2023, 2030, 2040],
 # one report per stage: counts, installed power, flows, costs, emissions
 reports = [aggregate_stage(st, cat) for st in path.stages]
 for rep in reports:
-    imports = sum(v for k, v in rep.energy_balance.items()
-                  if k.startswith("import_"))
-    print(f"=== {rep.stage_year} ===")
-    print("  heating census:", dict(sorted(rep.heating_frequency.items())))
+    balance = rep["energy_balance"]
+    imports = sum(v for k, v in balance.items() if k.startswith("import_"))
+    print(f"=== {rep['stage_year']} ===")
+    print("  heating census:", rep["heating_frequency"])
     print(f"  energy: imports {imports:,.0f} kWh/a, "
-          f"pv {rep.energy_balance['pv_generation']:,.0f}, "
-          f"export {rep.energy_balance['export_electricity']:,.0f}")
-    print(f"  cost {rep.cost_breakdown.objective:,.0f} EUR/a, "
-          f"emissions {rep.emissions['total'] / 1000:,.1f} t/a")
+          f"pv {balance['pv_generation']:,.0f}, "
+          f"export {balance['export_electricity']:,.0f}")
+    print(f"  cost {rep['cost_breakdown']['objective']:,.0f} EUR/a, "
+          f"emissions {rep['emissions']['total'] / 1000:,.1f} t/a")
 
 # stage-over-stage deltas show the direction of travel
 for row in pathway_deltas(path, cat)[1:]:

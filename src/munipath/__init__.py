@@ -34,7 +34,6 @@ from .pathway import (  # noqa: F401
     plan_stage,
 )
 from .report import (  # noqa: F401
-    StageReport,
     aggregate_stage,
     export_csv,
     export_geojson,

@@ -189,8 +189,8 @@ def _usable_cpus() -> int:
 
 def cmd_report(args) -> int:
     _require_file(args.document)
-    doc = json.loads(read_text(args.document)[0])
     try:
+        doc = json.loads(read_text(args.document)[0])
         if "stages" not in doc or "stage_years" not in doc:
             print(f"{args.document} is not a pathway document", file=sys.stderr)
             return EXIT_IO
@@ -199,8 +199,8 @@ def cmd_report(args) -> int:
             return EXIT_IO
         os.makedirs(args.out_dir, exist_ok=True)
         _emit_outputs(doc, args.out_dir, year=args.year)
-    except (KeyError, TypeError) as exc:
-        # a field missing from the document or of the wrong type
+    except (KeyError, TypeError, ValueError) as exc:
+        # not UTF-8 or JSON, or a field missing, of the wrong type or no number
         print(f"I/O failure: malformed pathway document: {exc!r}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
@@ -212,11 +212,11 @@ def _emit_outputs(doc: dict, out_dir: str, year: int | None) -> None:
     if year is None:
         export_csv(reports, os.path.join(out_dir, "report.csv"))
     for rep in reports:
-        if year is not None and rep.stage_year != year:
+        if year is not None and rep["stage_year"] != year:
             continue
-        export_csv([rep], os.path.join(out_dir, f"report_{rep.stage_year}.csv"))
-        write_text(os.path.join(out_dir, f"stock_{rep.stage_year}.geojson"),
-                   geojson_from_document(doc, rep.stage_year))
+        export_csv([rep], os.path.join(out_dir, f"report_{rep['stage_year']}.csv"))
+        write_text(os.path.join(out_dir, f"stock_{rep['stage_year']}.geojson"),
+                   geojson_from_document(doc, rep["stage_year"]))
 
 
 def cmd_gen_fixture(args) -> int:
@@ -238,15 +238,9 @@ def main(argv=None) -> int:
     except (TwinError, CatalogError, ScenarioError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except json.JSONDecodeError as exc:
-        print(f"I/O failure: corrupt document: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except (PathwayError, SolverError, BrokenExecutor) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

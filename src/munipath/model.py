@@ -29,7 +29,6 @@ from .catalog import (
     in_service,
     residual_value,
     variant_components,
-    variant_cost,
     variant_delta_factor,
 )
 from .scenario import ScenarioFrame
@@ -331,16 +330,10 @@ def build_model(
     ann = np.zeros(16)
     s3 = np.zeros(16)
     for ir in admissible:
-        if variant_cost(cat, building, ir) > 0.0:
-            added = variant_components(ir & ~current_ir)
-            ann[ir] = sum(
-                annuity_factor(rate, cat.refurb[name].lifetime)
-                * cat.refurb[name].cost_per_m2 * cat.refurb[name].area(building)
-                for name in added)
-            s3[ir] = sum(
-                cat.refurb[name].embodied_per_m2 * cat.refurb[name].area(building)
-                / cat.refurb[name].lifetime
-                for name in added)
+        added = [cat.refurb[name] for name in variant_components(ir & ~current_ir)]
+        ann[ir] = sum(annuity_factor(rate, r.lifetime) * r.cost_per_m2 * r.area(building)
+                      for r in added)
+        s3[ir] = sum(r.embodied_per_m2 * r.area(building) / r.lifetime for r in added)
     fixed = admissible == [current_ir]
     current = (np.arange(16) == current_ir).astype(float)
     r_choice = m.add_row(("variant_choice",), 1.0, 1.0)

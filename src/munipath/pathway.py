@@ -273,45 +273,38 @@ def _solve_all(tasks: list[_Task], workers: int) -> list[_BuildingOutcome]:
 def _split_measures(building: Building, cat: Catalog, sol: BuildingSolution,
                     *, mandatory_conversion: bool, decision_year: int,
                     score: float) -> list[Measure]:
-    """Decompose one building's plan into class-tagged measures.
+    """Decompose one building's plan into class-tagged measures: the
+    envelope, the heat converters and the rest of the plant.
 
     Implementation years are assigned later; placeholder is the decision
     year.
     """
+    common = dict(building_id=building.id, decision_year=decision_year,
+                  implementation_year=decision_year, reduction_score=score)
     out: list[Measure] = []
     if sol.new_components:
         out.append(Measure(
-            building_id=building.id, kind="renovation", mandatory=False,
-            decision_year=decision_year, implementation_year=decision_year,
+            kind="renovation", mandatory=False,
             description="envelope refurbishment: " + ", ".join(sol.new_components),
             variant_index=sol.variant_index, new_components=sol.new_components,
-            reduction_score=score,
-        ))
-    heat_installs = tuple((t, s) for t, s in sol.installed
-                          if cat.tech(t).is_heat_converter)
-    heat_drops = tuple((i.tech_id, i.size) for i in sol.dropped
-                       if cat.tech(i.tech_id).is_heat_converter)
-    other_installs = tuple((t, s) for t, s in sol.installed if (t, s) not in set(heat_installs))
-    other_drops = tuple((i.tech_id, i.size) for i in sol.dropped
-                        if (i.tech_id, i.size) not in set(heat_drops))
-    if heat_installs or heat_drops:
-        what = ", ".join(f"+{t} {s:.1f} kW" for t, s in heat_installs)
-        gone = ", ".join(f"-{t} {s:.1f} kW" for t, s in heat_drops)
-        out.append(Measure(
-            building_id=building.id, kind="conversion", mandatory=mandatory_conversion,
-            decision_year=decision_year, implementation_year=decision_year,
-            description=("heating conversion: " + "; ".join(p for p in (what, gone) if p)),
-            installs=heat_installs, drops=heat_drops, reduction_score=score,
-        ))
-    if other_installs or other_drops:
-        what = ", ".join(f"+{t} {s:.1f}" for t, s in other_installs)
-        gone = ", ".join(f"-{t} {s:.1f}" for t, s in other_drops)
-        out.append(Measure(
-            building_id=building.id, kind="addition", mandatory=False,
-            decision_year=decision_year, implementation_year=decision_year,
-            description="plant addition: " + "; ".join(p for p in (what, gone) if p),
-            installs=other_installs, drops=other_drops, reduction_score=score,
-        ))
+            **common))
+    # installs and drops of heat converters (True) and of other plant (False)
+    plant = {True: ([], []), False: ([], [])}
+    for t, s in sol.installed:
+        plant[cat.tech(t).is_heat_converter][0].append((t, s))
+    for i in sol.dropped:
+        plant[cat.tech(i.tech_id).is_heat_converter][1].append((i.tech_id, i.size))
+    for heat, kind, mandatory, label, unit in (
+            (True, "conversion", mandatory_conversion, "heating conversion", " kW"),
+            (False, "addition", False, "plant addition", "")):
+        installs, drops = plant[heat]
+        if installs or drops:
+            parts = (", ".join(f"+{t} {s:.1f}{unit}" for t, s in installs),
+                     ", ".join(f"-{t} {s:.1f}{unit}" for t, s in drops))
+            out.append(Measure(
+                kind=kind, mandatory=mandatory,
+                description=f"{label}: " + "; ".join(p for p in parts if p),
+                installs=tuple(installs), drops=tuple(drops), **common))
     return out
 
 
@@ -368,18 +361,16 @@ def _commit(twin: EnergyTwin, cat: Catalog, measures: list[Measure],
     for b in twin.buildings:
         sol = solutions.get(b.id)
         mms = by_building.get(b.id, [])
-        installed = list(b.installed)
+        installed = b.installed
         demand = dict(b.demand)
         state = b.refurb_state
 
         if sol is not None and mms:
-            dropped_keys = {(i.tech_id, i.size, i.install_year) for i in sol.dropped}
-            installed = [i for i in installed
-                         if (i.tech_id, i.size, i.install_year) not in dropped_keys]
+            # the plan's kept units, one entry each (so a dropped unit's
+            # identical twin stays), then its new ones
+            installed = [*sol.kept, *(TechnologyInstance(tid, size, mm.implementation_year)
+                                      for mm in mms for tid, size in mm.installs)]
             for mm in mms:
-                for tid, size in mm.installs:
-                    installed.append(TechnologyInstance(
-                        tech_id=tid, size=size, install_year=mm.implementation_year))
                 if mm.kind == "renovation" and mm.variant_index is not None:
                     new_ir = state.variant_index | mm.variant_index
                     demand = {v: DemandProfile(tuple(arr.tolist()), b.demand[v].resolution)
@@ -444,14 +435,19 @@ def plan_stage(
             f"stage {target_year}: no building could be solved "
             f"({next(iter(infeasible.values()))})")
 
+    def split(bid: str, sol: BuildingSolution) -> list[Measure]:
+        return _split_measures(by_id[bid], cat, sol, mandatory_conversion=bid in mandatory,
+                               decision_year=target_year, score=score[bid])
+
+    # each surviving plan's measures; a re-solve replaces them
+    plans = {bid: split(bid, sol) for bid, sol in solutions.items()}
+
     # allocation of voluntary slots in rank order
     remaining = dict(budgets)
     denied: list[tuple[str, str]] = []
     granted: dict[str, set[str]] = {}
-    for bid in sorted(score, key=lambda b: (-score[b], b)):
-        kinds = {mm.kind for mm in _split_measures(
-            by_id[bid], cat, solutions[bid], mandatory_conversion=False,
-            decision_year=target_year, score=score[bid])}
+    for bid in sorted(plans, key=lambda b: (-score[b], b)):
+        kinds = {mm.kind for mm in plans[bid]}
         take: set[str] = set()
         for kind in ("conversion", "renovation"):
             if kind not in kinds:
@@ -473,35 +469,29 @@ def plan_stage(
             allow_plant_change=True if "conversion" in granted[bid] else "additions_only"))
         for bid in sorted({bid for bid, _ in denied})]
     for r in _solve_all(resolves, workers):
+        bid = r.building_id
         if r.solution is None:
-            infeasible[r.building_id] = f"re-optimization failed: {r.error}"
-            solutions.pop(r.building_id)
-            granted.pop(r.building_id)
-        else:
-            solutions[r.building_id] = r.solution
+            infeasible[bid] = f"re-optimization failed: {r.error}"
+            del solutions[bid], plans[bid]
+            continue
+        solutions[bid] = r.solution
+        plans[bid] = split(bid, r.solution)
+        for mm in plans[bid]:
+            if mm.kind in BUDGETED_KINDS and not mm.mandatory and mm.kind not in granted[bid]:
+                raise PathwayError(f"{bid}: denied {mm.kind} reappeared after re-optimization")
 
-    # final measures from the surviving solutions
-    measures: list[Measure] = []
+    # mandatory conversions fall due when the first heat converter expires
     building_expiry: dict[str, int] = {}
-    for bid in sorted(solutions):
-        b = by_id[bid]
-        sol = solutions[bid]
+    for b in buildings:
         alive = in_service(b.installed, cat, target_year)
         heat_expired = [i for i in b.installed
                         if i not in alive and cat.tech(i.tech_id).is_heat_converter]
         if heat_expired:
-            building_expiry[bid] = min(
+            building_expiry[b.id] = min(
                 i.install_year + cat.tech(i.tech_id).lifetime for i in heat_expired)
-        for mm in _split_measures(b, cat, sol, mandatory_conversion=bid in mandatory,
-                                  decision_year=target_year, score=score[bid]):
-            if mm.kind in BUDGETED_KINDS and not mm.mandatory \
-                    and mm.kind not in granted.get(bid, set()):
-                # the re-optimized plan may not reintroduce a denied class
-                raise PathwayError(
-                    f"{bid}: denied {mm.kind} reappeared after re-optimization")
-            measures.append(mm)
 
-    measures = _assign_years(measures, y0=previous_year, y1=target_year,
+    measures = _assign_years([mm for bid in sorted(plans) for mm in plans[bid]],
+                             y0=previous_year, y1=target_year,
                              n_buildings=n_b, scenario=scenario,
                              building_expiry=building_expiry)
     measures.sort(key=lambda mm: (mm.implementation_year, mm.building_id, mm.kind))

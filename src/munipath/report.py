@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
 
 from .catalog import Catalog, CostBreakdown
 from .docio import dumps, write_text
@@ -18,51 +17,17 @@ from .pathway import StageResult, TransformationPath
 from .twin import Building, HEAT_VECTORS
 
 
-@dataclass(frozen=True)
-class StageReport:
-    stage_year: int
-    n_buildings: int
-    n_solved: int
-    refurb_frequency: dict[str, int]
-    heating_frequency: dict[str, int]
-    installed_power: dict[str, float]
-    energy_balance: dict[str, float]
-    cost_breakdown: CostBreakdown
-    cost_by_domain: dict[str, float]
-    emissions: dict[str, float]
-    measures: dict[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "stage_year": self.stage_year,
-            "n_buildings": self.n_buildings,
-            "n_solved": self.n_solved,
-            "refurb_frequency": dict(sorted(self.refurb_frequency.items())),
-            "heating_frequency": dict(sorted(self.heating_frequency.items())),
-            "installed_power": dict(sorted(self.installed_power.items())),
-            "energy_balance": dict(sorted(self.energy_balance.items())),
-            "cost_breakdown": self.cost_breakdown.to_dict(),
-            "cost_by_domain": dict(sorted(self.cost_by_domain.items())),
-            "emissions": dict(sorted(self.emissions.items())),
-            "measures": dict(sorted(self.measures.items())),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StageReport":
-        cb = {k: float(v) for k, v in data["cost_breakdown"].items() if k != "objective"}
-        return cls(
-            stage_year=int(data["stage_year"]),
-            n_buildings=int(data["n_buildings"]),
-            n_solved=int(data["n_solved"]),
-            refurb_frequency={k: int(v) for k, v in data["refurb_frequency"].items()},
-            heating_frequency={k: int(v) for k, v in data["heating_frequency"].items()},
-            installed_power={k: float(v) for k, v in data["installed_power"].items()},
-            energy_balance={k: float(v) for k, v in data["energy_balance"].items()},
-            cost_breakdown=CostBreakdown(**cb),
-            cost_by_domain={k: float(v) for k, v in data["cost_by_domain"].items()},
-            emissions={k: float(v) for k, v in data["emissions"].items()},
-            measures={k: int(v) for k, v in data["measures"].items()},
-        )
+# every metric of a stage report, in CSV order, and the type of its values
+METRICS = {
+    "refurb_frequency": int,
+    "heating_frequency": int,
+    "installed_power": float,
+    "energy_balance": float,
+    "cost_breakdown": float,
+    "cost_by_domain": float,
+    "emissions": float,
+    "measures": int,
+}
 
 
 def primary_heating(building: Building, cat: Catalog) -> str:
@@ -81,8 +46,9 @@ def primary_heating(building: Building, cat: Catalog) -> str:
     return best[1] if best else "none"
 
 
-def aggregate_stage(stage: StageResult, cat: Catalog) -> StageReport:
-    """Roll one stage up to stock level.
+def aggregate_stage(stage: StageResult, cat: Catalog) -> dict:
+    """Roll one stage up to stock level: the report ``path.json`` stores for
+    the stage, every mapping sorted by key.
 
     Stock composition comes from the committed twin; flows, costs, and
     emissions from the per-building solutions (unsolved buildings carry
@@ -136,19 +102,16 @@ def aggregate_stage(stage: StageResult, cat: Catalog) -> StageReport:
         if mm.mandatory:
             measures["mandatory"] = measures.get("mandatory", 0) + 1
 
-    return StageReport(
-        stage_year=stage.target_year,
-        n_buildings=len(twin.buildings),
-        n_solved=len(stage.solutions),
-        refurb_frequency=refurb,
-        heating_frequency=heating,
-        installed_power=power,
-        energy_balance=balance,
-        cost_breakdown=total,
-        cost_by_domain=by_domain,
-        emissions=emissions,
-        measures=measures,
-    )
+    metrics = {"refurb_frequency": refurb, "heating_frequency": heating,
+               "installed_power": power, "energy_balance": balance,
+               "cost_breakdown": total.to_dict(), "cost_by_domain": by_domain,
+               "emissions": emissions, "measures": measures}
+    return {
+        "stage_year": stage.target_year,
+        "n_buildings": len(twin.buildings),
+        "n_solved": len(stage.solutions),
+        **{metric: dict(sorted(values.items())) for metric, values in metrics.items()},
+    }
 
 
 def pathway_deltas(path: TransformationPath, cat: Catalog) -> list[dict]:
@@ -158,9 +121,9 @@ def pathway_deltas(path: TransformationPath, cat: Catalog) -> list[dict]:
     prev = None
     for rep in reports:
         row = {
-            "stage_year": rep.stage_year,
-            "annual_cost": rep.cost_breakdown.objective,
-            "annual_emissions": rep.emissions.get("total", 0.0),
+            "stage_year": rep["stage_year"],
+            "annual_cost": rep["cost_breakdown"]["objective"],
+            "annual_emissions": rep["emissions"].get("total", 0.0),
         }
         if prev is not None:
             row["cost_delta"] = row["annual_cost"] - prev["annual_cost"]
@@ -170,24 +133,25 @@ def pathway_deltas(path: TransformationPath, cat: Catalog) -> list[dict]:
     return out
 
 
-def export_csv(reports: list[StageReport], sink=None) -> str:
-    """Long-format table: stage_year, metric, key, value.
+def export_csv(reports: list[dict], sink=None) -> str:
+    """Long-format table of stage reports: stage_year, metric, key, value.
 
     Row order is fixed (stage, then metric, then key) and floats use
-    their shortest round-trip form, so equal inputs give equal bytes.
+    their shortest round-trip form, so equal inputs give equal bytes.  Each
+    value is converted to its metric's type, so a report read from a
+    document with a value that is no number raises ``ValueError`` or
+    ``TypeError``.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["stage_year", "metric", "key", "value"])
-    for rep in sorted(reports, key=lambda r: r.stage_year):
-        d = rep.to_dict()
-        writer.writerow([rep.stage_year, "buildings", "total", rep.n_buildings])
-        writer.writerow([rep.stage_year, "buildings", "solved", rep.n_solved])
-        for metric in ("refurb_frequency", "heating_frequency", "installed_power",
-                       "energy_balance", "cost_breakdown", "cost_by_domain",
-                       "emissions", "measures"):
-            for key in sorted(d[metric]):
-                writer.writerow([rep.stage_year, metric, key, d[metric][key]])
+    for rep in sorted(reports, key=lambda r: r["stage_year"]):
+        year = int(rep["stage_year"])
+        writer.writerow([year, "buildings", "total", int(rep["n_buildings"])])
+        writer.writerow([year, "buildings", "solved", int(rep["n_solved"])])
+        for metric, kind in METRICS.items():
+            for key, value in sorted(rep[metric].items()):
+                writer.writerow([year, metric, key, kind(value)])
     text = buf.getvalue()
     if sink is not None:
         write_text(sink, text)
@@ -248,13 +212,13 @@ def path_document(path_obj: TransformationPath, cat: Catalog) -> dict:
     map data, so downstream exports never need to re-solve anything."""
     doc = path_obj.to_dict()
     for st, st_dict in zip(path_obj.stages, doc["stages"]):
-        st_dict["report"] = aggregate_stage(st, cat).to_dict()
+        st_dict["report"] = aggregate_stage(st, cat)
         st_dict["geojson"] = stage_geojson(st, cat)
     return doc
 
 
-def reports_from_document(doc: dict) -> list[StageReport]:
-    return [StageReport.from_dict(sd["report"]) for sd in doc["stages"]]
+def reports_from_document(doc: dict) -> list[dict]:
+    return [sd["report"] for sd in doc["stages"]]
 
 
 def geojson_from_document(doc: dict, stage_year: int) -> str:

@@ -111,7 +111,7 @@ def load_scenario(source) -> ScenarioFrame:
     """Read a scenario from any source ``docio.read_text`` takes."""
     try:
         doc = json.loads(read_text(source)[0])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
     return ScenarioFrame.from_dict(doc)
 

@@ -377,14 +377,16 @@ def load_twin(source) -> EnergyTwin:
     """
     try:
         text, base_dir = read_text(source)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TwinParseError(f"cannot read twin document: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TwinParseError(f"invalid twin document: {exc}") from exc
-    if not isinstance(doc, dict) or "meta" not in doc or "buildings" not in doc:
-        raise TwinParseError("twin document needs top-level 'meta' and 'buildings'")
+    if not (isinstance(doc, dict) and isinstance(doc.get("meta"), dict)
+            and isinstance(doc.get("buildings"), list)):
+        raise TwinParseError("twin document needs a top-level 'meta' object and "
+                             "'buildings' list")
     meta = dict(doc["meta"])
     try:
         grid = TimeGrid.from_dict(meta.pop("timegrid"))

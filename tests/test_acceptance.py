@@ -248,29 +248,29 @@ def test_criterion_6_accounting_closure(planned_path, cat):
                                 "do not sum to the total")
 
         rep = aggregate_stage(stage, cat)
-        em = rep.emissions
+        em = rep["emissions"]
         if em and em["total"] != em["scope1"] + em["scope2"] + em["scope3"]:
             problems.append(f"{stage.target_year}: stage emission total broken")
 
         geo = json.loads(export_geojson(stage, cat))
         n_geo = len(geo["features"])
-        n_freq = sum(rep.heating_frequency.values())
-        if not (n_geo == n_freq == rep.n_buildings):
+        n_freq = sum(rep["heating_frequency"].values())
+        if not (n_geo == n_freq == rep["n_buildings"]):
             problems.append(f"{stage.target_year}: counts disagree "
                             f"(geojson {n_geo}, frequency {n_freq}, "
-                            f"stock {rep.n_buildings})")
+                            f"stock {rep['n_buildings']})")
         geo_freq: dict[str, int] = {}
         for f in geo["features"]:
             tech = f["properties"]["primary_heating"]
             geo_freq[tech] = geo_freq.get(tech, 0) + 1
-        if geo_freq != rep.heating_frequency:
+        if geo_freq != rep["heating_frequency"]:
             problems.append(f"{stage.target_year}: GeoJSON heating census "
-                            f"{geo_freq} != report {rep.heating_frequency}")
+                            f"{geo_freq} != report {rep['heating_frequency']}")
         power = {}
         for b in stage.twin_after.buildings:
             for t in b.installed:
                 power[t.tech_id] = power.get(t.tech_id, 0.0) + t.size
-        if power != rep.installed_power:
+        if power != rep["installed_power"]:
             problems.append(f"{stage.target_year}: installed power mismatch")
     _verdict(6, "objective, emission and census accounting closes", problems)
 

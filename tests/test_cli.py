@@ -325,22 +325,43 @@ def test_plans_not_proven_optimal_are_marked(twin2, tmp_path, monkeypatch, capsy
 
 
 def test_a_bug_in_the_planner_is_not_an_io_failure(twin2, tmp_path, monkeypatch, capsys):
-    def buggy_solve(request, params=None, start=None):
-        raise TypeError("a bug inside the planner")
+    # neither an I/O failure nor bad input data: the fault ends with its traceback
+    for error in (TypeError, ValueError):
+        def buggy_solve(request, params=None, start=None):
+            raise error("a bug inside the planner")
 
-    monkeypatch.setattr(model, "solve", buggy_solve)
-    with pytest.raises(TypeError, match="a bug inside the planner"):
-        cli.main(["pathway", str(twin2), "--periods", "2023,2030",
-                  "--out-dir", str(tmp_path / "out"), "--workers", "1"])
-    assert "I/O failure" not in capsys.readouterr().err
+        monkeypatch.setattr(model, "solve", buggy_solve)
+        with pytest.raises(error, match="a bug inside the planner"):
+            cli.main(["pathway", str(twin2), "--periods", "2023,2030",
+                      "--out-dir", str(tmp_path / "out"), "--workers", "1"])
+        err = capsys.readouterr().err
+        assert "I/O failure" not in err
+        assert "invalid input" not in err
 
 
-def test_report_of_a_malformed_document_exits_2(tmp_path, capsys):
-    doc = tmp_path / "path.json"
-    doc.write_text(json.dumps({"stage_years": [2023], "stages": [{"target_year": 2023}]}))
-    code = cli.main(["report", str(doc), "--out-dir", str(tmp_path / "o")])
-    assert code == 2
-    assert "I/O failure: malformed pathway document" in capsys.readouterr().err
+def test_report_of_a_malformed_document_exits_2(small_run, tmp_path, capsys):
+    _, _, out_dir, _ = small_run
+    many = json.loads((out_dir / "path.json").read_text())
+    many["stages"][0]["report"]["n_buildings"] = "many"
+    for name, content in (
+            ("missing.json", json.dumps({"stage_years": [2023],
+                                         "stages": [{"target_year": 2023}]}).encode()),
+            ("not_a_number.json", json.dumps(many).encode()),
+            ("not_utf8.json", b'{"stage_years": "\xff"}')):
+        doc = tmp_path / name
+        doc.write_bytes(content)
+        code = cli.main(["report", str(doc), "--out-dir", str(tmp_path / "o")])
+        assert code == 2, name
+        assert "I/O failure: malformed pathway document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["twin", "--scenario"])
+def test_input_that_is_not_utf8_exits_1(twin2, tmp_path, capsys, option):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"meta": {"id": "Mühlheim"}}'.encode("latin-1"))
+    args = [str(bad)] if option == "twin" else [str(twin2), option, str(bad)]
+    assert cli.main(["validate", *args]) == 1
+    assert "invalid input" in capsys.readouterr().err
 
 
 def test_default_workers_are_the_usable_cpus(tmp_path, monkeypatch):

@@ -140,6 +140,21 @@ def test_structure_rows_and_variant_bounds(cat, scen, twin20):
     assert req.row_lb[choice[0]] == req.row_ub[choice[0]] == 1.0
 
 
+def test_a_free_envelope_component_still_carries_its_embodied_emissions(cat, scen):
+    # a roof subsidised down to no cost still has its embodied emissions
+    roof = dataclasses.replace(cat.refurb["roof"], cost_per_m2=0.0)
+    free_roof = dataclasses.replace(cat, refurb={**cat.refurb, "roof": roof})
+    twin = make_fixture_twin(1, seed=11)
+    b = twin.buildings[0]
+    assert b.refurb_state.variant_index == 0
+    arts = build_model(b, free_roof, scen, twin.grid, target_year=2030, period_years=7)
+    roof_only = arts.cols["variant"][1]
+    assert arts.costs.capex[roof_only] == 0.0
+    # 18 kg/m2 embodied over 95.9 m2 of roof, written off over 40 years
+    assert (roof.embodied_per_m2, roof.area(b), roof.lifetime) == (18.0, 95.9, 40)
+    assert arts.scopes[2, roof_only] == pytest.approx(43.155, rel=1e-12)
+
+
 def test_check_solution_accepts_optimum_and_flags_tampering(cat, scen):
     rng = np.random.default_rng(21)
     building, toy_cat, grid, size_grid = make_toy_instance(rng, cat)

@@ -304,6 +304,10 @@ def test_split_measures_three_way(cat):
     assert by_kind["conversion"].drops == (("gas_boiler", 12.0),)
     assert by_kind["addition"].installs == (("pv", 4.0),)
     assert all(mm.reduction_score == 2.5 for mm in mms)
+    assert by_kind["renovation"].description == "envelope refurbishment: wall"
+    assert by_kind["conversion"].description == (
+        "heating conversion: +air_source_heat_pump 9.0 kW; -gas_boiler 12.0 kW")
+    assert by_kind["addition"].description == "plant addition: +pv 4.0"
 
 
 def test_commit_applies_drops_installs_variant_and_expiry(cat):
@@ -330,6 +334,20 @@ def test_commit_applies_drops_installs_variant_and_expiry(cat):
     factor = variant_delta_factor(cat, 1, 15, "space_heat")
     assert nb.demand["space_heat"].values[0] == pytest.approx(30.0 * factor)
     assert nb.demand["electricity"].values[0] == 6.0
+
+
+def test_commit_drops_one_of_two_identical_units(cat):
+    twin = _one_building_twin(cat)
+    b = twin.buildings[0]
+    boiler = TechnologyInstance("gas_boiler", 12.0, 2020)
+    b = dataclasses.replace(b, installed=(boiler, boiler, b.installed[1]))
+    twin = dataclasses.replace(twin, buildings=(b,))
+    sol = _stub_solution(b, dropped=(boiler,), kept=(boiler, b.installed[1]))
+    drop = Measure(building_id="solo", kind="conversion", mandatory=False,
+                   decision_year=2033, implementation_year=2030,
+                   description="one boiler less", drops=(("gas_boiler", 12.0),))
+    after = _commit(twin, cat, [drop], {"solo": sol}, 2033)
+    assert after.buildings[0].installed == (boiler, b.installed[1])
 
 
 def test_commit_removes_expired_units_silently(cat):

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from munipath.report import (
-    StageReport,
     aggregate_stage,
     export_csv,
     export_geojson,
@@ -31,10 +30,10 @@ def reports(planned_path, cat):
 
 def test_every_building_is_classified(planned_path, reports):
     for st, rep in zip(planned_path.stages, reports):
-        assert rep.n_buildings == 20
-        assert rep.n_solved == len(st.solutions)
-        assert sum(rep.heating_frequency.values()) == 20
-        assert all(0 < v <= 20 for v in rep.refurb_frequency.values())
+        assert rep["n_buildings"] == 20
+        assert rep["n_solved"] == len(st.solutions)
+        assert sum(rep["heating_frequency"].values()) == 20
+        assert all(0 < v <= 20 for v in rep["refurb_frequency"].values())
 
 
 def test_installed_power_matches_stock(planned_path, reports):
@@ -43,39 +42,38 @@ def test_installed_power_matches_stock(planned_path, reports):
         for b in st.twin_after.buildings:
             for inst in b.installed:
                 independent[inst.tech_id] = independent.get(inst.tech_id, 0.0) + inst.size
-        assert set(rep.installed_power) == set(independent)
+        assert set(rep["installed_power"]) == set(independent)
         for tid, kw in independent.items():
-            assert rep.installed_power[tid] == pytest.approx(kw, rel=1e-12)
+            assert rep["installed_power"][tid] == pytest.approx(kw, rel=1e-12)
 
 
 def test_cost_and_emission_closure(planned_path, reports):
     for st, rep in zip(planned_path.stages, reports):
         want_cost = sum(sol.breakdown.objective for sol in st.solutions.values())
-        assert rep.cost_breakdown.objective == pytest.approx(want_cost, rel=1e-9)
+        assert rep["cost_breakdown"]["objective"] == pytest.approx(want_cost, rel=1e-9)
+        em = rep["emissions"]
         for scope in ("scope1", "scope2", "scope3"):
             want = sum(sol.emissions[scope] for sol in st.solutions.values())
-            assert rep.emissions[scope] == pytest.approx(want, rel=1e-9)
-        assert rep.emissions["total"] == (rep.emissions["scope1"]
-                                          + rep.emissions["scope2"]
-                                          + rep.emissions["scope3"])
-        domain_total = sum(rep.cost_by_domain.values())
-        assert domain_total == pytest.approx(rep.cost_breakdown.objective, rel=1e-9)
+            assert em[scope] == pytest.approx(want, rel=1e-9)
+        assert em["total"] == em["scope1"] + em["scope2"] + em["scope3"]
+        domain_total = sum(rep["cost_by_domain"].values())
+        assert domain_total == pytest.approx(rep["cost_breakdown"]["objective"], rel=1e-9)
 
 
 def test_measure_counts(planned_path, reports):
     for st, rep in zip(planned_path.stages, reports):
         for kind in ("renovation", "conversion", "addition"):
-            assert rep.measures.get(kind, 0) == len(st.measures_of(kind))
-        assert rep.measures.get("mandatory", 0) == sum(
+            assert rep["measures"].get(kind, 0) == len(st.measures_of(kind))
+        assert rep["measures"].get("mandatory", 0) == sum(
             1 for mm in st.measures if mm.mandatory)
 
 
 def test_energy_balance_covers_demand_and_imports(planned_path, reports):
-    rep = reports[0]
-    assert any(k.startswith("demand_") for k in rep.energy_balance)
-    assert any(k.startswith("import_") for k in rep.energy_balance)
-    assert "export_electricity" in rep.energy_balance
-    assert 0.0 <= rep.energy_balance["pv_self_consumption"] <= 1.0
+    balance = reports[0]["energy_balance"]
+    assert any(k.startswith("demand_") for k in balance)
+    assert any(k.startswith("import_") for k in balance)
+    assert "export_electricity" in balance
+    assert 0.0 <= balance["pv_self_consumption"] <= 1.0
 
 
 def test_pathway_deltas_telescope(planned_path, cat):
@@ -87,12 +85,6 @@ def test_pathway_deltas_telescope(planned_path, cat):
             cur["annual_cost"] - prev["annual_cost"], abs=1e-9)
         assert cur["emissions_delta"] == pytest.approx(
             cur["annual_emissions"] - prev["annual_emissions"], abs=1e-9)
-
-
-def test_stage_report_round_trip(reports):
-    for rep in reports:
-        again = StageReport.from_dict(rep.to_dict())
-        assert again == rep
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +100,7 @@ def test_csv_reparses_to_exact_values(reports):
     assert "\r" not in text
     parsed = list(csv.reader(io.StringIO(text)))
     assert parsed[0] == ["stage_year", "metric", "key", "value"]
-    by_year = {rep.stage_year: rep.to_dict() for rep in reports}
+    by_year = {rep["stage_year"]: rep for rep in reports}
     seen = 0
     for year_s, metric, key, value in parsed[1:]:
         d = by_year[int(year_s)]
@@ -137,6 +129,21 @@ def test_csv_deterministic_and_sink_equal(reports, tmp_path):
     out = tmp_path / "report.csv"
     export_csv(reports, out)
     assert out.read_bytes() == a.encode("utf-8")
+
+
+@pytest.mark.parametrize("metric, key, value", [
+    ("n_buildings", None, "many"),
+    ("installed_power", "pv", "4 kW"),
+    ("measures", "renovation", None),
+])
+def test_csv_refuses_a_value_that_is_no_number(reports, metric, key, value):
+    rep = json.loads(json.dumps(reports[-1]))
+    if key is None:
+        rep[metric] = value
+    else:
+        rep[metric][key] = value
+    with pytest.raises((ValueError, TypeError)):
+        export_csv([rep])
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +175,7 @@ def test_geojson_structure(planned_path, cat, reports):
                 assert "annual_emissions_kg" in props
             tech = props["primary_heating"]
             heating[tech] = heating.get(tech, 0) + 1
-        assert heating == rep.heating_frequency
+        assert heating == rep["heating_frequency"]
 
 
 def test_geojson_deterministic_and_sink_equal(planned_path, cat, tmp_path):
@@ -186,7 +193,7 @@ def test_geojson_deterministic_and_sink_equal(planned_path, cat, tmp_path):
 
 def test_path_document_reproduces_exports(planned_path, cat, reports):
     doc = path_document(planned_path, cat)
-    assert [sd["report"] for sd in doc["stages"]] == [r.to_dict() for r in reports]
+    assert [sd["report"] for sd in doc["stages"]] == reports
     assert reports_from_document(doc) == reports
     for st in planned_path.stages:
         assert geojson_from_document(doc, st.target_year) == export_geojson(st, cat)

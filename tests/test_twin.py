@@ -316,6 +316,12 @@ def test_parse_errors():
     with pytest.raises(TwinParseError):
         load_twin(json.dumps({"buildings": []}))  # meta missing
     with pytest.raises(TwinParseError):
+        load_twin(json.dumps({"meta": "ab", "buildings": []}))  # meta no object
+    with pytest.raises(TwinParseError):
+        load_twin(json.dumps({"meta": {}, "buildings": 5}))  # buildings no list
+    with pytest.raises(TwinParseError):
+        load_twin(b'{"meta": "\xff"}')  # not UTF-8
+    with pytest.raises(TwinParseError):
         load_twin(json.dumps({"meta": {}, "buildings": []}))  # timegrid missing
     with pytest.raises(TwinParseError):
         load_twin(_doc([{"id": "b1"}]))  # truncated record

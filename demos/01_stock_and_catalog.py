@@ -8,7 +8,7 @@ plant, and shows the cost arithmetic the optimizer runs on.
 
 from munipath import default_catalog, make_fixture_twin
 from munipath.catalog import annuity_factor, residual_value
-from munipath.twin import admissible_refurb_variants, peak_demand
+from munipath.twin import admissible_refurb_variants
 
 # same seed, same town: ten buildings on the default representative-days
 # grid (four typed days at hourly resolution)
@@ -26,7 +26,7 @@ for b in twin.buildings[:4]:
 
 # peak heat load decides how much converter capacity a plan must cover
 b = twin.buildings[0]
-print(f"\n{b.id} peak space heat draw: {peak_demand(b, 'space_heat'):.1f} kW")
+print(f"\n{b.id} peak space heat draw: {b.demand['space_heat'].peak_kw():.1f} kW")
 
 # the envelope state fixes which refurbishment variants are still open:
 # already-renovated components may not be undone

@@ -12,7 +12,6 @@ from .catalog import (  # noqa: F401
     effective_demand,
     load_catalog,
     residual_value,
-    variant_cost,
     variant_heat_factor,
 )
 from .model import (  # noqa: F401
@@ -59,7 +58,6 @@ from .twin import (  # noqa: F401
     DemandProfile,
     DuplicateIdError,
     EnergyTwin,
-    MissingProfileError,
     RefurbState,
     TechnologyInstance,
     TimeGrid,
@@ -68,7 +66,6 @@ from .twin import (  # noqa: F401
     TwinValidationError,
     admissible_refurb_variants,
     load_twin,
-    peak_demand,
     remaining_lifetime,
     save_twin,
 )

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from importlib import resources
 
 import numpy as np
 
-from .docio import dumps, read_text, write_text
+from .docio import dumps, given_defaults, read_text, write_text
 from .twin import COMPONENTS, HEAT_VECTORS, Building, TechnologyInstance, remaining_lifetime
 
 PRICED_CARRIERS = ("electricity", "gas", "oil", "pellets", "woodchips", "heat_network")
@@ -38,13 +38,6 @@ _STORAGE_KEYS = ("charge_efficiency", "discharge_efficiency", "loss_per_hour",
 
 class CatalogError(Exception):
     """The catalog document is malformed or breaks an invariant."""
-
-
-def _given_defaults(cls, d: dict, skip: tuple[str, ...] = ()) -> dict:
-    """Keyword arguments for the fields of ``cls`` with a plain default that
-    ``d`` sets, converted to the default's type; absent keys keep the default."""
-    return {f.name: type(f.default)(d[f.name]) for f in fields(cls)
-            if f.default is not MISSING and f.name in d and f.name not in skip}
 
 
 @dataclass(frozen=True)
@@ -107,7 +100,7 @@ class TechnologySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TechnologySpec":
-        kw = _given_defaults(cls, d, skip=("efficiency", "byproduct", "max_size"))
+        kw = given_defaults(cls, d, skip=("efficiency", "byproduct", "max_size"))
         eff = d.get("efficiency")
         if isinstance(eff, dict):
             kw["efficiency"] = {str(k): float(v) for k, v in eff.items()}
@@ -153,7 +146,7 @@ class RefurbComponentSpec:
             area_factor=float(d["area_factor"]),
             demand_factor={str(k): float(v) for k, v in d["demand_factor"].items()},
             lifetime=int(d["lifetime"]),
-            **_given_defaults(cls, d),
+            **given_defaults(cls, d),
         )
 
 
@@ -219,7 +212,7 @@ class Catalog:
             techs=techs,
             refurb=refurb,
             meta=dict(d.get("meta", {})),
-            **_given_defaults(cls, d),
+            **given_defaults(cls, d),
         )
         cat.validate()
         return cat
@@ -284,10 +277,6 @@ class CostBreakdown:
     def __add__(self, other: "CostBreakdown") -> "CostBreakdown":
         return CostBreakdown(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
-    @classmethod
-    def zero(cls) -> "CostBreakdown":
-        return cls()
-
     def to_dict(self) -> dict:
         return {**asdict(self), "objective": self.objective}
 
@@ -323,16 +312,6 @@ def variant_delta_factor(cat: Catalog, from_index: int, to_index: int, vector: s
         raise ValueError(f"variant {to_index} does not contain current state {from_index}")
     return (variant_heat_factor(cat, to_index, vector)
             / variant_heat_factor(cat, from_index, vector))
-
-
-def variant_cost(cat: Catalog, building: Building, variant_index: int) -> float:
-    """One-time cost of the components the variant adds over the current state."""
-    from_index = building.refurb_state.variant_index
-    added = variant_index & ~from_index
-    if variant_index & from_index != from_index:
-        raise ValueError(f"variant {variant_index} drops already refurbished components")
-    return sum(cat.refurb[name].cost_per_m2 * cat.refurb[name].area(building)
-               for name in variant_components(added))
 
 
 def effective_demand(building: Building, variant_index: int,

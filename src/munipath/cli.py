@@ -21,6 +21,7 @@ from . import __version__
 from .catalog import CatalogError, default_catalog, load_catalog
 from .docio import dumps, read_text, write_text
 from .fixtures import make_fixture_twin
+from .model import OBJECTIVE_MODES
 from .pathway import PathwayError, plan_pathway
 from .report import geojson_from_document, reports_from_document
 from .report import export_csv, path_document
@@ -57,8 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated stage years, first is the status quo "
                         "(e.g. 2023,2030,2045)")
     p.add_argument("--out-dir", default=".", help="output directory (default: .)")
-    p.add_argument("--objective", default="cost",
-                   choices=("cost", "emission", "weighted"))
+    p.add_argument("--objective", default="cost", choices=OBJECTIVE_MODES)
     p.add_argument("--mip-gap", default=1e-4, type=_checked(
                        float, lambda g: g >= 0 and math.isfinite(g),
                        "a finite number of at least 0"),

@@ -1,4 +1,5 @@
-"""One reader, one writer and one JSON form for every munipath document.
+"""One reader, one writer and one JSON form for every munipath document,
+and the one way its loaders fill in defaults (``given_defaults``).
 
 A *source* is a path (``str`` or ``os.PathLike``); an open file, text or
 binary, whose ``name`` (if it is a path) gives the base directory; ``bytes``;
@@ -14,11 +15,20 @@ from __future__ import annotations
 import io
 import json
 import os
+from dataclasses import MISSING, fields
 
 
 def dumps(obj) -> str:
     """The canonical JSON form of every document munipath writes."""
     return json.dumps(obj, sort_keys=True, indent=1)
+
+
+def given_defaults(cls, d: dict, skip: tuple[str, ...] = ()) -> dict:
+    """Keyword arguments for the fields of dataclass ``cls`` with a plain
+    default that ``d`` sets, converted to the default's type; absent keys
+    keep the default."""
+    return {f.name: type(f.default)(d[f.name]) for f in fields(cls)
+            if f.default is not MISSING and f.name in d and f.name not in skip}
 
 
 def read_text(source) -> tuple[str, str | None]:

@@ -100,7 +100,6 @@ class ModelArtifacts:
     building: Building
     catalog: Catalog
     grid: TimeGrid
-    target_year: int
     options: dict
     alive: list[TechnologyInstance]
     units: list[_Unit]
@@ -125,15 +124,12 @@ class ModelArtifacts:
 class BuildingSolution:
     """Interpreted optimum for one building at one target year."""
 
-    building_id: str
-    target_year: int
     objective: float
     variant_index: int
     new_components: tuple[str, ...]
     kept: tuple[TechnologyInstance, ...]
     dropped: tuple[TechnologyInstance, ...]
     installed: tuple[tuple[str, float], ...]
-    annual_output: dict[str, float]
     imports: dict[str, float]
     export: float
     pv_generation: float
@@ -491,7 +487,6 @@ def build_model(
         obj = costs.objective + co2 * scopes.sum(axis=0)
     return ModelArtifacts(
         request=m.build(obj), building=building, catalog=cat, grid=grid,
-        target_year=target_year,
         options={
             "objective_mode": objective_mode,
             "allow_refurb": allow_refurb,
@@ -562,14 +557,11 @@ def extract_solution(arts: ModelArtifacts, outcome: SolveOutcome) -> BuildingSol
         # summed in step order: a dot product rounds differently
         return float(np.cumsum(x[ids] * w)[-1])
 
-    annual_output = {key: step_total(ids) for key, ids in cols["out"].items()}
     imports = {c: step_total(ids) for c, ids in cols["imp"].items()}
     export = step_total(cols["exp"])
-    pv_gen = 0.0
-    for u in arts.units:
-        if u.spec.id == "pv" or (u.spec.carrier == "solar"
-                                 and u.spec.output == "electricity"):
-            pv_gen += annual_output.get(u.key, 0.0)
+    # a float even without PV units, so that the document writes 0.0
+    pv_gen = sum((step_total(cols["out"][u.key]) for u in arts.units
+                  if u.spec.carrier == "solar" and u.spec.output == "electricity"), 0.0)
     self_consumption = 0.0
     if pv_gen > 1e-9:
         self_consumption = float(np.clip((pv_gen - export) / pv_gen, 0.0, 1.0))
@@ -591,8 +583,6 @@ def extract_solution(arts: ModelArtifacts, outcome: SolveOutcome) -> BuildingSol
     new_components = variant_components(variant_index & ~current_ir)
 
     return BuildingSolution(
-        building_id=arts.building.id,
-        target_year=arts.target_year,
         objective=float(outcome.objective if outcome.objective is not None else recon),
         variant_index=variant_index,
         new_components=new_components,
@@ -600,7 +590,6 @@ def extract_solution(arts: ModelArtifacts, outcome: SolveOutcome) -> BuildingSol
         dropped=tuple(arts.alive[i] for i in np.flatnonzero(x[cols["drop"]] > 0.5)),
         installed=tuple((tid, float(x[cols["size"][tid]]))
                         for tid, j in cols["inst"].items() if x[j] > 0.5),
-        annual_output=annual_output,
         imports=imports,
         export=export,
         pv_generation=pv_gen,

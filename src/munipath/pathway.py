@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .catalog import Catalog, effective_demand, in_service
 from .docio import dumps
@@ -27,7 +27,7 @@ from .model import (
     ModelError,
     optimize_building,
 )
-from .scenario import ScenarioFrame, cumulative_quota, retrofit_budgets
+from .scenario import BUDGETED_KINDS, ScenarioFrame, cumulative_quota, retrofit_budgets
 from .solver import SolveStatus, load_highs
 from .twin import (
     Building,
@@ -37,8 +37,6 @@ from .twin import (
     TechnologyInstance,
     TimeGrid,
 )
-
-BUDGETED_KINDS = ("renovation", "conversion")
 
 
 class PathwayError(Exception):
@@ -73,9 +71,11 @@ class StageResult:
     solutions: dict[str, BuildingSolution]
     measures: tuple[Measure, ...]
     denied: tuple[tuple[str, str], ...]  # (building_id, kind)
-    infeasible: dict[str, str]
+    infeasible: dict[str, str]  # no plan exists: the reason per building
     realized_rates: dict[str, float]
     twin_after: EnergyTwin
+    # solves that ended without a plan or a proof of infeasibility
+    failed: dict[str, str] = field(default_factory=dict)
 
     def measures_of(self, kind: str, *, voluntary_only: bool = False) -> list[Measure]:
         return [mm for mm in self.measures
@@ -85,17 +85,14 @@ class StageResult:
 @dataclass(frozen=True)
 class TransformationPath:
     twin_id: str
-    stage_years: tuple[int, ...]
     stages: tuple[StageResult, ...]
     scenario_id: str
     catalog_id: str
     options: dict
 
-    def stage(self, target_year: int) -> StageResult:
-        for st in self.stages:
-            if st.target_year == target_year:
-                return st
-        raise KeyError(target_year)
+    @property
+    def stage_years(self) -> tuple[int, ...]:
+        return tuple(st.target_year for st in self.stages)
 
     def to_dict(self) -> dict:
         return {
@@ -116,18 +113,11 @@ class TransformationPath:
         Returns violations; empty means the chain is sound.
         """
         problems: list[str] = []
-        caps = {
-            "renovation": float(self.options.get("renovation_rate_cap", math.inf)),
-            "conversion": float(self.options.get("conversion_rate_cap", math.inf)),
-        }
         if list(self.stage_years) != sorted(set(self.stage_years)):
             problems.append("stage years not strictly increasing")
-        for k, st in enumerate(self.stages):
-            if st.target_year != self.stage_years[k]:
-                problems.append(f"stage {k} year mismatch")
         for k in range(1, len(self.stages)):
             st = self.stages[k]
-            y0 = self.stage_years[k - 1]
+            y0 = self.stages[k - 1].target_year
             y1 = st.target_year
             twin = st.twin_after
             by_id = {b.id: b for b in twin.buildings}
@@ -139,9 +129,9 @@ class TransformationPath:
                         f"stage {y1}: {len(vol)} voluntary {kind} measures exceed "
                         f"budget {st.budgets[kind]}")
                 years = sorted(mm.implementation_year for mm in vol)
+                cap = self.options[f"{kind}_rate_cap"]
                 for j, yr in enumerate(years, start=1):
-                    if math.isfinite(caps[kind]) and j > cumulative_quota(
-                            caps[kind], n_b, yr - y0):
+                    if j > cumulative_quota(cap, n_b, yr - y0):
                         problems.append(
                             f"stage {y1}: {kind} number {j} at {yr} breaks the "
                             f"cumulative quota")
@@ -188,6 +178,9 @@ def _stage_dict(st: StageResult) -> dict:
         "realized_rates": dict(sorted(st.realized_rates.items())),
         "denied": [list(d) for d in sorted(st.denied)],
         "infeasible": dict(sorted(st.infeasible.items())),
+        # only where a solve failed, so that documents of clean runs keep
+        # their bytes
+        **({"failed": dict(sorted(st.failed.items()))} if st.failed else {}),
         "measures": [mm.to_dict() for mm in sorted(
             st.measures, key=lambda mm: (mm.implementation_year, mm.building_id, mm.kind))],
         "buildings": {
@@ -312,21 +305,16 @@ def _assign_years(measures: list[Measure], *, y0: int, y1: int, n_buildings: int
                   scenario: ScenarioFrame, building_expiry: dict[str, int]) -> list[Measure]:
     """Set implementation years: expiry-driven for mandatory measures,
     earliest quota-admissible year for ranked voluntary ones."""
-    caps = {"renovation": scenario.renovation_rate_cap,
-            "conversion": scenario.conversion_rate_cap}
     assigned: list[Measure] = []
-    counters: dict[str, int] = {k: 0 for k in BUDGETED_KINDS}
     conversion_year: dict[str, int] = {}
 
-    for kind in BUDGETED_KINDS:
+    for kind, cap in scenario.rate_caps.items():
         ranked = [mm for mm in measures if mm.kind == kind and not mm.mandatory]
         ranked.sort(key=lambda mm: (-mm.reduction_score, mm.building_id))
-        for mm in ranked:
-            counters[kind] += 1
-            j = counters[kind]
+        for j, mm in enumerate(ranked, start=1):
             year = None
             for k_el in range(1, y1 - y0 + 1):
-                if cumulative_quota(caps[kind], n_buildings, k_el) >= j:
+                if cumulative_quota(cap, n_buildings, k_el) >= j:
                     year = y0 + k_el
                     break
             if year is None:
@@ -412,6 +400,7 @@ def plan_stage(
     by_id = {b.id: b for b in buildings}
 
     infeasible: dict[str, str] = {}
+    failed: dict[str, str] = {}
     solutions: dict[str, BuildingSolution] = {}
     score: dict[str, float] = {}  # improvement of the free plan on the frozen one
     mandatory: set[str] = set()  # frozen plan infeasible: the conversion is forced
@@ -420,9 +409,9 @@ def plan_stage(
         if base.solution is None and not base.infeasible:
             # a failed or time-limited baseline says nothing about feasibility,
             # so it must not make the conversion mandatory
-            infeasible[bid] = f"baseline solve failed: {base.error}"
+            failed[bid] = f"baseline solve failed: {base.error}"
         elif free.solution is None:
-            infeasible[bid] = free.error
+            (infeasible if free.infeasible else failed)[bid] = free.error
         elif base.infeasible:
             solutions[bid] = free.solution
             score[bid] = math.inf
@@ -430,10 +419,11 @@ def plan_stage(
         else:
             solutions[bid] = free.solution
             score[bid] = base.solution.objective - free.solution.objective
-    if n_b and len(infeasible) == n_b:
+    unsolved = {**infeasible, **failed}
+    if n_b and len(unsolved) == n_b:
         raise PathwayError(
             f"stage {target_year}: no building could be solved "
-            f"({next(iter(infeasible.values()))})")
+            f"({next(iter(unsolved.values()))})")
 
     def split(bid: str, sol: BuildingSolution) -> list[Measure]:
         return _split_measures(by_id[bid], cat, sol, mandatory_conversion=bid in mandatory,
@@ -449,7 +439,7 @@ def plan_stage(
     for bid in sorted(plans, key=lambda b: (-score[b], b)):
         kinds = {mm.kind for mm in plans[bid]}
         take: set[str] = set()
-        for kind in ("conversion", "renovation"):
+        for kind in BUDGETED_KINDS:
             if kind not in kinds:
                 continue
             if kind == "conversion" and bid in mandatory:
@@ -471,7 +461,7 @@ def plan_stage(
     for r in _solve_all(resolves, workers):
         bid = r.building_id
         if r.solution is None:
-            infeasible[bid] = f"re-optimization failed: {r.error}"
+            (infeasible if r.infeasible else failed)[bid] = f"re-optimization failed: {r.error}"
             del solutions[bid], plans[bid]
             continue
         solutions[bid] = r.solution
@@ -513,6 +503,7 @@ def plan_stage(
         infeasible=infeasible,
         realized_rates=realized,
         twin_after=twin_after,
+        failed=failed,
     )
 
 
@@ -526,15 +517,17 @@ def _status_quo_stage(twin: EnergyTwin, cat: Catalog, scenario: ScenarioFrame,
     outcomes = _solve_all([_Task(b, cat, scenario, twin.grid, options)
                            for b in sorted(twin.buildings, key=lambda b: b.id)], workers)
     solutions = {r.building_id: r.solution for r in outcomes if r.solution is not None}
-    infeasible = {r.building_id: r.error for r in outcomes if r.solution is None}
-    if twin.buildings and len(infeasible) == len(twin.buildings):
+    unsolved = [r for r in outcomes if r.solution is None]
+    if twin.buildings and len(unsolved) == len(twin.buildings):
         raise PathwayError(f"status quo {year}: no building could be dispatched")
     return StageResult(
         target_year=year, period_years=0,
         budgets={k: 0 for k in BUDGETED_KINDS},
-        solutions=solutions, measures=(), denied=(), infeasible=infeasible,
+        solutions=solutions, measures=(), denied=(),
+        infeasible={r.building_id: r.error for r in unsolved if r.infeasible},
         realized_rates={k: 0.0 for k in BUDGETED_KINDS},
         twin_after=twin,
+        failed={r.building_id: r.error for r in unsolved if not r.infeasible},
     )
 
 
@@ -576,13 +569,9 @@ def plan_pathway(
 
     return TransformationPath(
         twin_id=twin.twin_id,
-        stage_years=tuple(years),
         stages=tuple(stages),
         scenario_id=str(scenario.meta.get("id", "scenario")),
         catalog_id=str(cat.meta.get("id", "catalog")),
-        options={
-            "objective_mode": objective_mode,
-            "renovation_rate_cap": scenario.renovation_rate_cap,
-            "conversion_rate_cap": scenario.conversion_rate_cap,
-        },
+        options={"objective_mode": objective_mode,
+                 **{f"{kind}_rate_cap": cap for kind, cap in scenario.rate_caps.items()}},
     )

@@ -67,7 +67,7 @@ def aggregate_stage(stage: StageResult, cat: Catalog) -> dict:
             power[inst.tech_id] = power.get(inst.tech_id, 0.0) + inst.size
 
     balance: dict[str, float] = {}
-    total = CostBreakdown.zero()
+    total = CostBreakdown()
     by_domain: dict[str, float] = {}
     emissions: dict[str, float] = {}
     pv_total = 0.0
@@ -186,6 +186,8 @@ def stage_geojson(stage: StageResult, cat: Catalog) -> dict:
             props["annual_emissions_kg"] = round(sol.emissions["total"], 2)
         if b.id in stage.infeasible:
             props["infeasible"] = stage.infeasible[b.id]
+        if b.id in stage.failed:
+            props["failed"] = stage.failed[b.id]
         features.append({
             "type": "Feature",
             "geometry": {"type": "Point",

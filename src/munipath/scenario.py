@@ -15,7 +15,11 @@ from importlib import resources
 
 import numpy as np
 
-from .docio import dumps, read_text, write_text
+from .docio import dumps, given_defaults, read_text, write_text
+
+# the measure kinds whose yearly rate a scenario caps, each by its
+# ``<kind>_rate_cap`` field
+BUDGETED_KINDS = ("renovation", "conversion")
 
 
 class ScenarioError(Exception):
@@ -47,12 +51,16 @@ class ScenarioFrame:
                               ("co2_price", self.co2_price)):
             if len(series) != n:
                 raise ScenarioError(f"{label} has {len(series)} values, expected {n}")
-        if not 0.0 <= self.renovation_rate_cap <= 1.0:
-            raise ScenarioError("renovation_rate_cap outside [0, 1]")
-        if not 0.0 <= self.conversion_rate_cap <= 1.0:
-            raise ScenarioError("conversion_rate_cap outside [0, 1]")
+        for kind, cap in self.rate_caps.items():
+            if not 0.0 <= cap <= 1.0:
+                raise ScenarioError(f"{kind}_rate_cap outside [0, 1]")
         if self.max_parallel_retrofits < 1:
             raise ScenarioError("max_parallel_retrofits must be >= 1")
+
+    @property
+    def rate_caps(self) -> dict[str, float]:
+        """Each budgeted measure kind's cap, as a share of the stock per year."""
+        return {kind: getattr(self, f"{kind}_rate_cap") for kind in BUDGETED_KINDS}
 
     # -- interpolation ------------------------------------------------------
 
@@ -87,10 +95,6 @@ class ScenarioFrame:
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioFrame":
         try:
-            # absent limits keep the field defaults
-            limits = {key: conv(d[key]) for key, conv in (
-                ("renovation_rate_cap", float), ("conversion_rate_cap", float),
-                ("max_parallel_retrofits", int)) if key in d}
             return cls(
                 years=tuple(int(y) for y in d["years"]),
                 prices={str(k): tuple(float(x) for x in v) for k, v in d["prices"].items()},
@@ -99,7 +103,7 @@ class ScenarioFrame:
                                   for k, v in d["emission_factors"].items()},
                 co2_price=tuple(float(x) for x in d["co2_price"]),
                 meta=dict(d.get("meta", {})),
-                **limits,
+                **given_defaults(cls, d),
             )
         except ScenarioError:
             raise
@@ -130,10 +134,8 @@ def retrofit_budgets(frame: ScenarioFrame, n_buildings: int,
     """
     if n_buildings < 0 or period_years < 0:
         raise ValueError("counts must be non-negative")
-    return {
-        "renovation": cumulative_quota(frame.renovation_rate_cap, n_buildings, period_years),
-        "conversion": cumulative_quota(frame.conversion_rate_cap, n_buildings, period_years),
-    }
+    return {kind: cumulative_quota(cap, n_buildings, period_years)
+            for kind, cap in frame.rate_caps.items()}
 
 
 def cumulative_quota(rate_cap: float, n_buildings: int, years_elapsed: int) -> int:

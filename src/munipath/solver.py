@@ -40,6 +40,8 @@ INF = math.inf
 
 # Relative MIP gap when ``solve``'s params give none.
 DEFAULT_MIP_GAP = 1e-6
+# the keys ``solve``'s params may give
+SOLVE_PARAMS = ("mip_gap", "time_limit_s")
 
 
 class SolverError(Exception):
@@ -148,10 +150,6 @@ class LinearModel:
         ids = _register(self._row_index, keys, "row")
         self._rows.append((lb, ub))
         return ids
-
-    def add_var(self, key: Hashable, lb: float = 0.0, ub: float = INF,
-                integer: bool = False) -> int:
-        return int(self.add_vars([key], lb, ub, integer)[0])
 
     def add_row(self, key: Hashable, lb: float = -INF, ub: float = INF) -> int:
         return int(self.add_rows([key], lb, ub)[0])
@@ -318,9 +316,13 @@ def solve(request: SolveRequest, params: dict | None = None, *,
     start's integer values and solves for its continuous ones where those
     break a row; a start whose integer values cannot be completed is
     dropped, and the search runs as without one.  A start HiGHS cannot
-    take at all (of the wrong length) raises ``SolverError``.
+    take at all (of the wrong length), and any other key in ``params``,
+    raise ``SolverError``.
     """
     p = params or {}
+    unknown = [key for key in p if key not in SOLVE_PARAMS]
+    if unknown:
+        raise SolverError(f"unknown solver params {unknown}; known are {list(SOLVE_PARAMS)}")
     core = load_highs()
     t0 = time.monotonic()
     # Measured on the benchmark fixtures (two 5-building stocks) with scipy

@@ -51,13 +51,6 @@ class DuplicateIdError(TwinError):
         self.building_id = building_id
 
 
-class MissingProfileError(TwinError):
-    def __init__(self, building_id: str, vector: str):
-        super().__init__(f"building {building_id!r} has no {vector!r} demand profile")
-        self.building_id = building_id
-        self.vector = vector
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Dispatch time axis: either a full year or weighted representative days.
@@ -99,11 +92,6 @@ class TimeGrid:
         hours = np.arange(self.steps_per_day) * self.hours_per_step
         return np.tile(hours, len(self.days))
 
-    def block_slices(self) -> list[slice]:
-        """One slice per represented day."""
-        n = self.steps_per_day
-        return [slice(i * n, (i + 1) * n) for i in range(len(self.days))]
-
     def cyclic_blocks(self) -> list[slice]:
         """Slices within which storage state must close on itself.
 
@@ -112,7 +100,8 @@ class TimeGrid:
         """
         if all(w == 1.0 for _, w in self.days):
             return [slice(0, self.steps)]
-        return self.block_slices()
+        n = self.steps_per_day
+        return [slice(i * n, (i + 1) * n) for i in range(len(self.days))]
 
     def solar_availability(self) -> np.ndarray:
         """Normalized irradiance in [0, 1]: diurnal sine over 06-18h, scaled
@@ -430,11 +419,3 @@ def admissible_refurb_variants(b: Building) -> set[int]:
     """
     current = b.refurb_state.variant_index
     return {ir for ir in range(16) if ir & current == current}
-
-
-def peak_demand(b: Building, vector: str) -> float:
-    """Largest per-step power draw in kW for one energy vector."""
-    prof = b.demand.get(vector)
-    if prof is None:
-        raise MissingProfileError(b.id, vector)
-    return prof.peak_kw()

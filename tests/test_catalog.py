@@ -21,7 +21,6 @@ from munipath.catalog import (
     restrict_catalog,
     save_catalog,
     variant_components,
-    variant_cost,
     variant_delta_factor,
     variant_heat_factor,
 )
@@ -82,7 +81,7 @@ def test_cost_breakdown_objective_identity():
     bd = CostBreakdown(capex=100.0, capex_subsidy=20.0, opex=55.0,
                        deconstruction=6.0, residual_value=11.0)
     assert bd.objective == pytest.approx(100.0 - 20.0 + 55.0 + 6.0 - 11.0)
-    assert CostBreakdown.zero().objective == 0.0
+    assert CostBreakdown().objective == 0.0
 
 
 def test_cost_breakdown_add_and_scale():
@@ -146,25 +145,6 @@ def _demo_building() -> Building:
         demand={"space_heat": sh, "hot_water": hw, "electricity": el},
         refurb_state=RefurbState(roof=True),
     )
-
-
-def test_variant_cost_charges_added_components_only(cat):
-    b = _demo_building()
-    # the building has its roof (variant 1): variant 3 adds only the wall
-    wall = cat.refurb["wall"]
-    expected = wall.cost_per_m2 * wall.area(b)
-    assert variant_cost(cat, b, 3) == pytest.approx(expected)
-    # the already-done roof never bills again
-    assert variant_cost(cat, b, 1) == 0.0
-    with pytest.raises(ValueError):
-        variant_cost(cat, b, 0)  # would drop the roof
-
-
-def test_variant_cost_full_envelope_sums_components(cat):
-    b = _demo_building()
-    total = sum(cat.refurb[n].cost_per_m2 * cat.refurb[n].area(b)
-                for n in COMPONENTS if n != "roof")
-    assert variant_cost(cat, b, 15) == pytest.approx(total)
 
 
 def test_effective_demand_identity_and_scaling(cat):

@@ -81,7 +81,9 @@ def test_frozen_boiler_cost_oracle(cat, scen):
     assert sol.breakdown.objective == pytest.approx(sol.objective, rel=1e-9)
 
     assert sol.imports == pytest.approx({"gas": fuel, "electricity": 0.0})
-    assert sum(sol.annual_output.values()) == pytest.approx(heat, rel=1e-9)
+    w = ONE_STEP.step_weights()
+    assert sum(float(sol.x[ids] @ w) for ids in arts.cols["out"].values()) \
+        == pytest.approx(heat, rel=1e-9)
     assert sol.kept == b.installed
     assert sol.dropped == () and sol.installed == ()
     assert sol.variant_index == 15 and sol.new_components == ()
@@ -138,6 +140,25 @@ def test_structure_rows_and_variant_bounds(cat, scen, twin20):
     choice = [i for i, k in enumerate(arts.row_keys) if k[0] == "variant_choice"]
     assert len(choice) == 1
     assert req.row_lb[choice[0]] == req.row_ub[choice[0]] == 1.0
+
+
+def test_variant_capex_charges_only_the_components_a_variant_adds(cat, scen):
+    twin = make_fixture_twin(5, seed=11, grid=TimeGrid.representative_days(240))
+    b = twin.buildings[4]
+    assert b.refurb_state.variant_index == 1  # the roof is done
+    arts = build_model(b, cat, scen, twin.grid, target_year=2030, period_years=7)
+    variant = arts.cols["variant"]
+
+    def annual(name):
+        r = cat.refurb[name]
+        return annuity_factor(cat.discount_rate, r.lifetime) * r.cost_per_m2 * r.area(b)
+
+    # the done roof never bills again, and no variant may drop it
+    assert arts.costs.capex[variant[1]] == 0.0
+    assert arts.costs.capex[variant[3]] == pytest.approx(annual("wall"), rel=1e-12)
+    assert arts.costs.capex[variant[15]] == pytest.approx(
+        annual("wall") + annual("window") + annual("cellar"), rel=1e-12)
+    assert arts.request.var_ub[variant[0]] == 0.0
 
 
 def test_a_free_envelope_component_still_carries_its_embodied_emissions(cat, scen):
@@ -278,7 +299,11 @@ def test_extraction_by_family_equals_a_key_scan(cat, scen, minutes, options):
             kept, dropped, installed, out, imports, export = _key_scan(arts, sol.x)
             assert sol.kept == kept and sol.dropped == dropped
             assert sol.installed == installed
-            assert sol.annual_output == out
+            # a unit key reads "x0:pv" or "n:pv"
+            specs = {key: cat.tech(key.split(":", 1)[1]) for key in out}
+            pv = sum((out[key] for key, spec in specs.items()
+                      if spec.carrier == "solar" and spec.output == "electricity"), 0.0)
+            assert isinstance(sol.pv_generation, float) and sol.pv_generation == pv
             assert sol.imports == imports
             assert sol.export == export
         if not options:

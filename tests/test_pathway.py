@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from munipath import pathway
+from munipath import model, pathway
 from munipath.catalog import CostBreakdown, variant_delta_factor
 from munipath.fixtures import make_fixture_twin
-from munipath.model import BuildingSolution, ModelError
+from munipath.model import BuildingSolution
 from munipath.pathway import (
     BUDGETED_KINDS,
     Measure,
@@ -21,7 +21,9 @@ from munipath.pathway import (
     plan_pathway,
     plan_stage,
 )
+from munipath.report import stage_geojson
 from munipath.scenario import cumulative_quota, retrofit_budgets
+from munipath.solver import SolveOutcome, SolveStatus
 from munipath.twin import (
     Building,
     DemandProfile,
@@ -54,9 +56,6 @@ def test_pathway_shape(path6, twin6):
     assert len(path6.stages) == 2
     assert path6.stages[0].period_years == 0
     assert path6.stages[1].period_years == 10
-    assert path6.stage(2033) is path6.stages[1]
-    with pytest.raises(KeyError):
-        path6.stage(1999)
 
 
 def test_status_quo_stage_makes_no_decisions(path6, twin6):
@@ -257,11 +256,11 @@ def test_assign_years_respects_the_cumulative_quota(scen, span, n_buildings, cap
 
 def _stub_solution(b: Building, **overrides) -> BuildingSolution:
     fields = dict(
-        building_id=b.id, target_year=2033, objective=0.0,
+        objective=0.0,
         variant_index=b.refurb_state.variant_index, new_components=(),
         kept=b.installed, dropped=(), installed=(),
-        annual_output={}, imports={}, export=0.0, pv_generation=0.0,
-        self_consumption=0.0, breakdown=CostBreakdown.zero(),
+        imports={}, export=0.0, pv_generation=0.0,
+        self_consumption=0.0, breakdown=CostBreakdown(),
         breakdown_by_domain={}, emissions={"scope1": 0.0, "scope2": 0.0,
                                            "scope3": 0.0, "total": 0.0},
         demand_after={}, model_options={}, x=np.zeros(1),
@@ -420,27 +419,76 @@ def test_mandatory_chain_still_verifies(mandatory_path):
     assert mandatory_path.verify_chain() == []
 
 
+def _fail_solves(monkeypatch, role, building_ids):
+    """Stub the solve of each ``role`` problem of the given buildings to end
+    FAILED, as HiGHS does on a numerical breakdown."""
+    real_solve, real_optimize = model.solve, pathway.optimize_building
+    failing = [False]  # whether the current optimize_building call fails
+
+    def solve(request, params=None, start=None):
+        if failing[0]:
+            return SolveOutcome(status=SolveStatus.FAILED, message="stubbed breakdown")
+        return real_solve(request, params=params, start=start)
+
+    def optimize(building, *args, **kw):
+        failing[0] = building.id in building_ids and _role(kw) == role
+        return real_optimize(building, *args, **kw)
+
+    monkeypatch.setattr(model, "solve", solve)
+    monkeypatch.setattr(pathway, "optimize_building", optimize)
+
+
 def test_failed_baseline_is_not_mandatory(monkeypatch, cat, scen):
     """Only an infeasible frozen plan makes the conversion mandatory; a
     frozen solve that failed leaves the building unplanned for the stage."""
     twin = _expiring_heating_twin(cat)
     failed = twin.buildings[0].id
-    real = pathway.optimize_building
-
-    def flaky(building, *args, **kw):
-        frozen = kw.get("allow_refurb") is False and kw.get("allow_plant_change") is False
-        if frozen and building.id == failed:
-            raise ModelError(f"building {building.id!r}: solver ended with failed")
-        return real(building, *args, **kw)
-
-    monkeypatch.setattr(pathway, "optimize_building", flaky)
+    _fail_solves(monkeypatch, "frozen", {failed})
     st = plan_stage(twin, cat, scen, previous_year=2023, target_year=2033,
                     params=PARAMS)
-    assert st.infeasible[failed].startswith("baseline solve failed: ")
-    assert failed not in st.solutions
+    assert st.failed[failed].startswith("baseline solve failed: ")
+    assert failed not in st.infeasible and failed not in st.solutions
     assert [mm for mm in st.measures if mm.building_id == failed] == []
     others = st.measures_of("conversion")
     assert len(others) == 2 and all(mm.mandatory for mm in others)
+
+
+def test_a_failed_free_solve_is_not_infeasible(monkeypatch, cat, scen):
+    twin = _expiring_heating_twin(cat)
+    failed = twin.buildings[0].id
+    _fail_solves(monkeypatch, "free", {failed})
+    st = plan_stage(twin, cat, scen, previous_year=2023, target_year=2033,
+                    params=PARAMS)
+    assert "solver ended with failed" in st.failed[failed]
+    assert failed not in st.infeasible and failed not in st.solutions
+    assert set(st.solutions) == {b.id for b in twin.buildings} - {failed}
+    assert pathway._stage_dict(st)["failed"] == st.failed
+    props = {f["properties"]["id"]: f["properties"]
+             for f in stage_geojson(st, cat)["features"]}
+    assert props[failed]["failed"] == st.failed[failed]
+    assert not any("failed" in p for bid, p in props.items() if bid != failed)
+
+
+def test_a_failed_status_quo_solve_is_not_infeasible(monkeypatch, cat, scen):
+    twin = _expiring_heating_twin(cat)
+    ids = {b.id for b in twin.buildings}
+    failed = twin.buildings[1].id
+    _fail_solves(monkeypatch, "status quo", {failed})
+    st = pathway._status_quo_stage(twin, cat, scen, 2023, "cost", PARAMS, 0)
+    assert "solver ended with failed" in st.failed[failed]
+    assert st.infeasible == {} and set(st.solutions) == ids - {failed}
+    # failed buildings count towards a stock nothing could be solved for
+    monkeypatch.undo()
+    _fail_solves(monkeypatch, "status quo", ids)
+    with pytest.raises(PathwayError, match="no building could be dispatched"):
+        pathway._status_quo_stage(twin, cat, scen, 2023, "cost", PARAMS, 0)
+
+
+def test_clean_stage_documents_have_no_failed_key(path6, cat):
+    for st in path6.stages:
+        assert st.failed == {} and "failed" not in pathway._stage_dict(st)
+        assert not any("failed" in f["properties"]
+                       for f in stage_geojson(st, cat)["features"])
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,12 @@ def test_time_limit_param_accepted():
     assert out.status is SolveStatus.OPTIMAL
 
 
+def test_unknown_params_are_refused():
+    # misspelt keys used to be ignored: the default gap, and no time limit
+    with pytest.raises(SolverError, match=re.escape("['mip_gp', 'time_limit']")):
+        solve(_tiny_mip(), params={"mip_gap": 1e-4, "mip_gp": 0.5, "time_limit": 1})
+
+
 def _tiny_mip_fixed() -> SolveRequest:
     # the knapsack with every integer column fixed at its optimum
     req = _tiny_mip()
@@ -432,10 +438,10 @@ def test_linear_model_blocks_broadcast_and_fail_whole():
 
 def test_linear_model_rejects_duplicate_keys():
     lm = LinearModel()
-    lm.add_var(("size", "pv"))
+    lm.add_vars([("size", "pv")])
     lm.add_row(("size", "pv"))  # rows and columns have separate key spaces
     with pytest.raises(ValueError, match="duplicate variable"):
-        lm.add_var(("size", "pv"))
+        lm.add_vars([("size", "pv")])
     with pytest.raises(ValueError, match="duplicate row"):
         lm.add_row(("size", "pv"))
 

@@ -12,7 +12,6 @@ from munipath.twin import (
     DemandProfile,
     DuplicateIdError,
     EnergyTwin,
-    MissingProfileError,
     RefurbState,
     TechnologyInstance,
     TimeGrid,
@@ -20,7 +19,6 @@ from munipath.twin import (
     TwinValidationError,
     admissible_refurb_variants,
     load_twin,
-    peak_demand,
     remaining_lifetime,
     save_twin,
 )
@@ -188,18 +186,13 @@ def test_remaining_lifetime_non_increasing_and_zero_at_expiry():
     assert remaining_lifetime(inst, lifetime, 2010 + lifetime - 1) == 1.0
 
 
-def test_peak_demand_brute_force(twin20):
+def test_peak_kw_brute_force(twin20):
     for b in twin20.buildings:
-        for vector, prof in b.demand.items():
-            peak = peak_demand(b, vector)
+        for prof in b.demand.values():
+            peak = prof.peak_kw()
             h = prof.resolution / 60.0
             assert peak == max(prof.values) / h
             assert all(peak * h >= v for v in prof.values)
-
-
-def test_peak_demand_missing_profile():
-    with pytest.raises(MissingProfileError):
-        peak_demand(_building(RefurbState()), "space_heat")
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ Builds the seeded demo town, pokes at demand profiles and installed
 plant, and shows the cost arithmetic the optimizer runs on.
 """
 
+import numpy as np
+
 from munipath import default_catalog, make_fixture_twin
 from munipath.catalog import annuity_factor, residual_value
-from munipath.twin import admissible_refurb_variants
+from munipath.twin import admissible_refurb_variants, variant_components
 
 # same seed, same town: ten buildings on the default representative-days
 # grid (four typed days at hourly resolution)
@@ -17,7 +19,8 @@ grid = twin.grid
 print(f"twin {twin.meta['id']}: {len(twin.buildings)} buildings, "
       f"{grid.steps} timesteps of {grid.resolution_minutes} min")
 
-# every building carries demand profiles plus its installed plant
+# every building carries demand profiles (kWh per grid step) plus its
+# installed plant
 for b in twin.buildings[:4]:
     heat = b.annual_demand("space_heat", grid) + b.annual_demand("hot_water", grid)
     plant = ", ".join(f"{t.tech_id}@{t.size:g}kW({t.install_year})"
@@ -26,11 +29,13 @@ for b in twin.buildings[:4]:
 
 # peak heat load decides how much converter capacity a plan must cover
 b = twin.buildings[0]
-print(f"\n{b.id} peak space heat draw: {b.demand['space_heat'].peak_kw():.1f} kW")
+peak = max(b.demand["space_heat"]) / grid.hours_per_step
+print(f"\n{b.id} peak space heat draw: {peak:.1f} kW")
 
-# the envelope state fixes which refurbishment variants are still open:
+# the envelope state is a variant bitmask over the four components; it
+# fixes which refurbishment variants are still open, since
 # already-renovated components may not be undone
-done = ", ".join(sorted(b.refurb_state.components())) or "nothing done"
+done = ", ".join(sorted(variant_components(b.variant_index))) or "nothing done"
 print(f"{b.id} envelope ({done}), "
       f"{len(admissible_refurb_variants(b))} of 16 variants admissible")
 
@@ -53,9 +58,9 @@ for age in (2, 10, 18):
     rv = residual_value(spec.capex_total(10), spec.lifetime, spec.lifetime - age)
     print(f"  residual value at age {age:2d}: {rv:8.0f} EUR")
 
-# profiles are plain numpy arrays; slicing out one typed day is enough
-# to see the seasonal spread the dispatch has to cope with
-sh = twin.buildings[0].demand["space_heat"].as_array()
+# profiles are tuples of step values; as a numpy array, slicing out one
+# typed day is enough to see the seasonal spread the dispatch has to cope with
+sh = np.asarray(twin.buildings[0].demand["space_heat"])
 per_day = sh.reshape(len(grid.days), -1)
 for (doy, _), day in zip(grid.days, per_day):
     print(f"day {doy:3d}: space heat {day.sum():6.1f} kWh, "

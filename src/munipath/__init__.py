@@ -55,10 +55,8 @@ from .solver import (  # noqa: F401
 )
 from .twin import (  # noqa: F401
     Building,
-    DemandProfile,
     DuplicateIdError,
     EnergyTwin,
-    RefurbState,
     TechnologyInstance,
     TimeGrid,
     TwinError,

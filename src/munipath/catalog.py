@@ -16,7 +16,14 @@ from importlib import resources
 import numpy as np
 
 from .docio import dumps, given_defaults, read_text, write_text
-from .twin import COMPONENTS, HEAT_VECTORS, Building, TechnologyInstance, remaining_lifetime
+from .twin import (
+    COMPONENTS,
+    HEAT_VECTORS,
+    Building,
+    TechnologyInstance,
+    remaining_lifetime,
+    variant_components,
+)
 
 PRICED_CARRIERS = ("electricity", "gas", "oil", "pellets", "woodchips", "heat_network")
 FREE_CARRIERS = ("solar", "ambient")
@@ -284,16 +291,6 @@ class CostBreakdown:
 # ---------------------------------------------------------------------------
 # Refurbishment variants
 
-# Variant indices are bitmasks over COMPONENTS: bit 0 roof, 1 wall,
-# 2 window, 3 cellar.  Variant 0 is the untouched envelope.
-
-
-def variant_components(variant_index: int) -> tuple[str, ...]:
-    if not 0 <= variant_index < 16:
-        raise ValueError(f"variant index {variant_index} out of range")
-    return tuple(name for bit, name in enumerate(COMPONENTS) if variant_index >> bit & 1)
-
-
 def variant_heat_factor(cat: Catalog, variant_index: int, vector: str) -> float:
     """Demand multiplier of a variant relative to the untouched envelope."""
     factor = 1.0
@@ -322,11 +319,10 @@ def effective_demand(building: Building, variant_index: int,
     electricity and cooling are untouched.
     """
     out: dict[str, np.ndarray] = {}
-    current = building.refurb_state.variant_index
-    for vector, prof in building.demand.items():
-        arr = prof.as_array()
+    for vector, values in building.demand.items():
+        arr = np.asarray(values, dtype=float)
         if vector in HEAT_VECTORS:
-            arr = arr * variant_delta_factor(cat, current, variant_index, vector)
+            arr = arr * variant_delta_factor(cat, building.variant_index, variant_index, vector)
         out[vector] = arr
     return out
 

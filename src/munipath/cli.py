@@ -167,14 +167,16 @@ def cmd_pathway(args) -> int:
     write_text(os.path.join(args.out_dir, "path.json"), dumps(doc))
     _emit_outputs(doc, args.out_dir, year=None)
 
-    # a plan whose solve stopped at a limit carries its status in path.json
-    print(f"{'stage':>6}  {'measures':>8}  {'not optimal':>11}  {'cost EUR/a':>14}  "
-          f"{'emissions kg/a':>15}")
+    # a plan whose solve stopped at a limit carries its status in path.json;
+    # an infeasible or failed building has no plan, so the totals omit it
+    print(f"{'stage':>6}  {'measures':>8}  {'not optimal':>11}  {'unsolved':>8}  "
+          f"{'cost EUR/a':>14}  {'emissions kg/a':>15}")
     for sd in doc["stages"]:
         rep = sd["report"]
         unproven = sum("status" in b for b in sd["buildings"].values())
+        unsolved = len(sd["infeasible"]) + len(sd.get("failed", {}))
         print(f"{sd['target_year']:>6}  {len(sd['measures']):>8}  {unproven:>11}  "
-              f"{rep['cost_breakdown']['objective']:>14.2f}  "
+              f"{unsolved:>8}  {rep['cost_breakdown']['objective']:>14.2f}  "
               f"{rep['emissions'].get('total', 0.0):>15.1f}")
     return EXIT_OK
 

@@ -13,14 +13,7 @@ import math
 
 import numpy as np
 
-from .twin import (
-    Building,
-    DemandProfile,
-    EnergyTwin,
-    RefurbState,
-    TechnologyInstance,
-    TimeGrid,
-)
+from .twin import Building, EnergyTwin, TechnologyInstance, TimeGrid, variant_of
 
 # share of the stock per heating archetype; remainders go to the largest
 # fractional parts so any stock size splits deterministically
@@ -89,24 +82,23 @@ _SHAPES = {
 }
 
 
-def demand_profile(grid: TimeGrid, vector: str, annual_kwh: float) -> DemandProfile:
+def demand_profile(grid: TimeGrid, vector: str, annual_kwh: float) -> tuple[float, ...]:
     """A plausible load profile on the grid, scaled to the annual total."""
     shape = _SHAPES[vector](grid.day_of_year().astype(float), grid.hour_of_day())
     weighted = float(shape @ grid.step_weights())
     if weighted <= 0.0:
         raise ValueError(f"degenerate shape for {vector}")
     values = shape * (annual_kwh / weighted)
-    return DemandProfile(values=tuple(float(v) for v in values),
-                         resolution=grid.resolution_minutes)
+    return tuple(float(v) for v in values)
 
 
-def _heat_peak_kw(building_demand: dict[str, DemandProfile], h: float) -> float:
+def _heat_peak_kw(building_demand: dict[str, tuple[float, ...]], h: float) -> float:
     arr = None
     for vector in ("space_heat", "hot_water"):
-        prof = building_demand.get(vector)
-        if prof is None:
+        values = building_demand.get(vector)
+        if values is None:
             continue
-        arr = prof.as_array() if arr is None else arr + prof.as_array()
+        arr = np.asarray(values) if arr is None else arr + np.asarray(values)
     return float(arr.max()) / h if arr is not None else 0.0
 
 
@@ -134,10 +126,10 @@ def make_fixture_twin(n_buildings: int = 20, *, seed: int = 11,
         if modern:
             construction = int(rng.integers(2010, 2022))
             sh = rng.uniform(9_000, 14_000)
-            refurb = RefurbState(roof=True, wall=k % 2 == 0, window=True, cellar=False)
+            variant = variant_of(("roof", "wall", "window") if k % 2 == 0 else ("roof", "window"))
         else:
             construction = int(rng.integers(1955, 1990))
-            refurb = RefurbState(roof=i % 5 == 4)
+            variant = variant_of(("roof",) if i % 5 == 4 else ())
             if commercial:
                 sh = rng.uniform(45_000, 90_000)
             elif public:
@@ -183,7 +175,7 @@ def make_fixture_twin(n_buildings: int = 20, *, seed: int = 11,
             roof_area=float(round(roof, 1)),
             open_space_area=float(round(rng.uniform(60, 200), 1)) if i % 4 == 2 else 0.0,
             demand=demand,
-            refurb_state=refurb,
+            variant_index=variant,
             installed=tuple(installed),
             heat_network_access=i % 5 == 1,
         ))

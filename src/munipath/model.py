@@ -229,12 +229,10 @@ def build_model(
     for spec in candidates:
         units.append(_Unit(key=f"n:{spec.id}", spec=spec, existing=None, cap=None))
 
-    base: dict[str, np.ndarray] = {}
-    for vector, prof in building.demand.items():
-        base[vector] = prof.as_array()
+    base = {vector: np.asarray(values, dtype=float) for vector, values in building.demand.items()}
     zeros = np.zeros(steps)
 
-    current_ir = building.refurb_state.variant_index
+    current_ir = building.variant_index
     admissible = sorted(admissible_refurb_variants(building)) if allow_refurb else [current_ir]
 
     m = LinearModel()
@@ -579,13 +577,10 @@ def extract_solution(arts: ModelArtifacts, outcome: SolveOutcome) -> BuildingSol
     eff = effective_demand(arts.building, variant_index, arts.catalog)
     demand_after = {v: float(arr @ w) for v, arr in eff.items()}
 
-    current_ir = arts.building.refurb_state.variant_index
-    new_components = variant_components(variant_index & ~current_ir)
-
     return BuildingSolution(
         objective=float(outcome.objective if outcome.objective is not None else recon),
         variant_index=variant_index,
-        new_components=new_components,
+        new_components=variant_components(variant_index & ~arts.building.variant_index),
         kept=tuple(arts.alive[i] for i in np.flatnonzero(x[cols["keep"]] > 0.5)),
         dropped=tuple(arts.alive[i] for i in np.flatnonzero(x[cols["drop"]] > 0.5)),
         installed=tuple((tid, float(x[cols["size"][tid]]))

@@ -29,14 +29,7 @@ from .model import (
 )
 from .scenario import BUDGETED_KINDS, ScenarioFrame, cumulative_quota, retrofit_budgets
 from .solver import SolveStatus, load_highs
-from .twin import (
-    Building,
-    DemandProfile,
-    EnergyTwin,
-    RefurbState,
-    TechnologyInstance,
-    TimeGrid,
-)
+from .twin import Building, EnergyTwin, TechnologyInstance, TimeGrid
 
 
 class PathwayError(Exception):
@@ -145,8 +138,7 @@ class TransformationPath:
                     problems.append(f"{mm.building_id}: vanished from the twin")
                     continue
                 if mm.kind == "renovation" and mm.variant_index is not None:
-                    have = b.refurb_state.variant_index
-                    if have & mm.variant_index != mm.variant_index:
+                    if b.variant_index & mm.variant_index != mm.variant_index:
                         problems.append(
                             f"{mm.building_id}: variant {mm.variant_index} not applied")
                 for tid, size in mm.installs:
@@ -164,8 +156,7 @@ class TransformationPath:
                 if before is None:
                     problems.append(f"{b.id}: appeared out of nowhere")
                     continue
-                old = before.refurb_state.variant_index
-                if old & b.refurb_state.variant_index != old:
+                if before.variant_index & b.variant_index != before.variant_index:
                     problems.append(f"{b.id}: refurbishment state regressed")
         return problems
 
@@ -351,7 +342,7 @@ def _commit(twin: EnergyTwin, cat: Catalog, measures: list[Measure],
         mms = by_building.get(b.id, [])
         installed = b.installed
         demand = dict(b.demand)
-        state = b.refurb_state
+        state = b.variant_index
 
         if sol is not None and mms:
             # the plan's kept units, one entry each (so a dropped unit's
@@ -360,14 +351,13 @@ def _commit(twin: EnergyTwin, cat: Catalog, measures: list[Measure],
                                       for mm in mms for tid, size in mm.installs)]
             for mm in mms:
                 if mm.kind == "renovation" and mm.variant_index is not None:
-                    new_ir = state.variant_index | mm.variant_index
-                    demand = {v: DemandProfile(tuple(arr.tolist()), b.demand[v].resolution)
-                              for v, arr in effective_demand(b, new_ir, cat).items()}
-                    state = RefurbState.from_index(new_ir)
+                    state |= mm.variant_index
+                    demand = {v: tuple(arr.tolist())
+                              for v, arr in effective_demand(b, state, cat).items()}
 
         # natural end of life: expired units leave the stock silently
         new_buildings.append(replace(
-            b, installed=tuple(in_service(installed, cat, y1)), refurb_state=state,
+            b, installed=tuple(in_service(installed, cat, y1)), variant_index=state,
             demand=demand))
     return replace(twin, buildings=tuple(new_buildings))
 

@@ -14,7 +14,7 @@ import io
 from .catalog import Catalog, CostBreakdown
 from .docio import dumps, write_text
 from .pathway import StageResult, TransformationPath
-from .twin import Building, HEAT_VECTORS
+from .twin import HEAT_VECTORS, Building, variant_components
 
 
 # every metric of a stage report, in CSV order, and the type of its values
@@ -59,7 +59,7 @@ def aggregate_stage(stage: StageResult, cat: Catalog) -> dict:
     heating: dict[str, int] = {}
     power: dict[str, float] = {}
     for b in twin.buildings:
-        for comp in b.refurb_state.components():
+        for comp in variant_components(b.variant_index):
             refurb[comp] = refurb.get(comp, 0) + 1
         tech = primary_heating(b, cat)
         heating[tech] = heating.get(tech, 0) + 1
@@ -173,7 +173,7 @@ def stage_geojson(stage: StageResult, cat: Catalog) -> dict:
             "id": b.id,
             "building_type": b.building_type,
             "construction_year": b.construction_year,
-            "refurbished": sorted(b.refurb_state.components()),
+            "refurbished": sorted(variant_components(b.variant_index)),
             "primary_heating": primary_heating(b, cat),
             "installed": [[i.tech_id, i.size, i.install_year]
                           for i in sorted(b.installed,

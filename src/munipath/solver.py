@@ -203,30 +203,16 @@ def _stack(blocks: list[tuple], dtypes: tuple) -> list[np.ndarray]:
 
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
 
-# HiGHS model statuses by name.  A time or iteration limit is FEASIBLE only
-# with an incumbent, and kUnboundedOrInfeasible is solved once more without
-# presolve before it counts as FAILED.
+# HiGHS model statuses by name; every status not listed is FAILED.  A time
+# or iteration limit is FEASIBLE only with an incumbent, and
+# kUnboundedOrInfeasible is solved once more without presolve before it
+# counts as FAILED.
 _HIGHS_STATUS = {
-    "kNotset": SolveStatus.FAILED,
-    "kLoadError": SolveStatus.FAILED,
-    "kModelError": SolveStatus.FAILED,
-    "kPresolveError": SolveStatus.FAILED,
-    "kSolveError": SolveStatus.FAILED,
-    "kPostsolveError": SolveStatus.FAILED,
-    "kModelEmpty": SolveStatus.FAILED,
     "kOptimal": SolveStatus.OPTIMAL,
     "kInfeasible": SolveStatus.INFEASIBLE,
-    "kUnboundedOrInfeasible": SolveStatus.FAILED,
     "kUnbounded": SolveStatus.UNBOUNDED,
-    "kObjectiveBound": SolveStatus.FAILED,
-    "kObjectiveTarget": SolveStatus.FAILED,
     "kTimeLimit": SolveStatus.FEASIBLE,
     "kIterationLimit": SolveStatus.FEASIBLE,
-    "kUnknown": SolveStatus.FAILED,
-    "kSolutionLimit": SolveStatus.FAILED,
-    "kInterrupt": SolveStatus.FAILED,
-    "kMemoryLimit": SolveStatus.FAILED,
-    "kHighsInterrupt": SolveStatus.FAILED,
 }
 
 

@@ -12,12 +12,14 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .docio import dumps, read_text, write_text
 
+# Envelope states and refurbishment variants are bitmasks over COMPONENTS:
+# bit 0 roof, 1 wall, 2 window, 3 cellar.  Variant 0 is the untouched envelope.
 COMPONENTS = ("roof", "wall", "window", "cellar")
 VECTORS = ("electricity", "space_heat", "hot_water", "cooling")
 HEAT_VECTORS = ("space_heat", "hot_water")
@@ -26,6 +28,17 @@ BUILDING_TYPES = ("residential", "commercial", "public")
 
 # Daylight hours and seasonal shape used for the synthetic solar availability.
 _SOLAR_SCALE = 0.55
+
+
+def variant_components(variant_index: int) -> tuple[str, ...]:
+    if not 0 <= variant_index < 16:
+        raise ValueError(f"variant index {variant_index} out of range")
+    return tuple(name for bit, name in enumerate(COMPONENTS) if variant_index >> bit & 1)
+
+
+def variant_of(components) -> int:
+    """The variant bitmask of the named components (the inverse of variant_components)."""
+    return sum(1 << COMPONENTS.index(name) for name in set(components))
 
 
 class TwinError(Exception):
@@ -144,61 +157,6 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class DemandProfile:
-    values: tuple[float, ...]  # kWh per timestep
-    resolution: int  # minutes per step
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-    def peak_kw(self) -> float:
-        if not self.values:
-            return 0.0
-        return max(self.values) / (self.resolution / 60.0)
-
-    def validate(self) -> str | None:
-        """Returns a complaint string or None."""
-        if self.resolution <= 0 or 1440 % self.resolution != 0:
-            return "resolution must divide 1440"
-        arr = self.as_array()
-        if arr.size and float(arr.min()) < 0.0:
-            return "negative demand value"
-        if not math.isfinite(float(arr.sum())):
-            return "non-finite demand sum"
-        return None
-
-
-@dataclass(frozen=True)
-class RefurbState:
-    """Which envelope components are already refurbished."""
-
-    roof: bool = False
-    wall: bool = False
-    window: bool = False
-    cellar: bool = False
-
-    @property
-    def variant_index(self) -> int:
-        idx = 0
-        for bit, name in enumerate(COMPONENTS):
-            if getattr(self, name):
-                idx |= 1 << bit
-        return idx
-
-    @classmethod
-    def from_index(cls, index: int) -> "RefurbState":
-        if not 0 <= index < 16:
-            raise ValueError(f"variant index {index} out of range")
-        return cls(**{name: bool(index >> bit & 1) for bit, name in enumerate(COMPONENTS)})
-
-    def components(self) -> frozenset[str]:
-        return frozenset(name for name in COMPONENTS if getattr(self, name))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
 class TechnologyInstance:
     tech_id: str
     size: float  # kW (kWh for storage, m² handled via per-kW area factors)
@@ -217,18 +175,19 @@ class Building:
     construction_year: int
     roof_area: float
     open_space_area: float
-    demand: dict[str, DemandProfile] = field(default_factory=dict)
-    refurb_state: RefurbState = RefurbState()
+    demand: dict[str, tuple[float, ...]] = field(default_factory=dict)  # kWh per grid step
+    variant_index: int = 0  # envelope components already refurbished
     installed: tuple[TechnologyInstance, ...] = ()
     heat_network_access: bool = False
 
     def annual_demand(self, vector: str, grid: TimeGrid) -> float:
-        prof = self.demand.get(vector)
-        if prof is None:
+        values = self.demand.get(vector)
+        if values is None:
             return 0.0
-        return float(prof.as_array() @ grid.step_weights())
+        return float(np.asarray(values, dtype=float) @ grid.step_weights())
 
-    def to_dict(self) -> dict:
+    def to_dict(self, resolution: int) -> dict:
+        """The building's document; ``resolution`` is its grid's step in minutes."""
         return {
             "id": self.id,
             "location": [float(self.location[0]), float(self.location[1])],
@@ -237,11 +196,12 @@ class Building:
             "roof_area": float(self.roof_area),
             "open_space_area": float(self.open_space_area),
             "heat_network_access": self.heat_network_access,
-            "refurb_state": self.refurb_state.to_dict(),
+            "refurb_state": {name: bool(self.variant_index >> bit & 1)
+                             for bit, name in enumerate(COMPONENTS)},
             "installed": [inst.to_dict() for inst in self.installed],
             "demand": {
-                v: {"values": [float(x) for x in p.values], "resolution": p.resolution}
-                for v, p in sorted(self.demand.items())
+                v: {"values": [float(x) for x in values], "resolution": resolution}
+                for v, values in sorted(self.demand.items())
             },
         }
 
@@ -265,7 +225,8 @@ class EnergyTwin:
     def to_dict(self) -> dict:
         meta = dict(self.meta)
         meta["timegrid"] = self.grid.to_dict()
-        return {"meta": meta, "buildings": [b.to_dict() for b in self.buildings]}
+        return {"meta": meta, "buildings": [b.to_dict(self.grid.resolution_minutes)
+                                          for b in self.buildings]}
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +234,13 @@ class EnergyTwin:
 
 
 def _parse_profile(entry, grid: TimeGrid, base_dir: str | None, building_id: str,
-                   vector: str) -> DemandProfile:
+                   vector: str) -> tuple[float, ...]:
+    if isinstance(entry, dict):
+        resolution = int(entry.get("resolution", grid.resolution_minutes))
+        if resolution != grid.resolution_minutes:
+            raise TwinValidationError(
+                f"building {building_id!r}: {vector} profile resolution {resolution} != grid "
+                f"{grid.resolution_minutes}", building_id=building_id, field="demand")
     if isinstance(entry, dict) and "csv" in entry:
         if base_dir is None:
             raise TwinParseError(
@@ -287,16 +254,10 @@ def _parse_profile(entry, grid: TimeGrid, base_dir: str | None, building_id: str
             raise TwinParseError(f"cannot read sidecar profile {path!r}: {exc}") from exc
         if not rows or vector not in rows[0]:
             raise TwinParseError(f"sidecar {path!r} lacks a {vector!r} column")
-        values = tuple(float(r[vector]) for r in rows)
-        resolution = int(entry.get("resolution", grid.resolution_minutes))
-        return DemandProfile(values=values, resolution=resolution)
+        return tuple(float(r[vector]) for r in rows)
     if isinstance(entry, dict):
-        return DemandProfile(
-            values=tuple(float(v) for v in entry["values"]),
-            resolution=int(entry.get("resolution", grid.resolution_minutes)),
-        )
-    # bare array
-    return DemandProfile(values=tuple(float(v) for v in entry), resolution=grid.resolution_minutes)
+        entry = entry["values"]
+    return tuple(float(v) for v in entry)
 
 
 def _parse_building(data: dict, grid: TimeGrid, base_dir: str | None) -> Building:
@@ -311,9 +272,8 @@ def _parse_building(data: dict, grid: TimeGrid, base_dir: str | None) -> Buildin
             roof_area=float(data["roof_area"]),
             open_space_area=float(data["open_space_area"]),
             heat_network_access=bool(data.get("heat_network_access", False)),
-            refurb_state=RefurbState(**{
-                k: bool(v) for k, v in data.get("refurb_state", {}).items() if k in COMPONENTS
-            }),
+            variant_index=variant_of(
+                k for k, v in data.get("refurb_state", {}).items() if k in COMPONENTS and v),
             installed=tuple(
                 TechnologyInstance(str(i["tech_id"]), float(i["size"]), int(i["install_year"]))
                 for i in data.get("installed", [])
@@ -342,17 +302,16 @@ def _validate_building(b: Building, grid: TimeGrid) -> None:
         bad("building_type", f"unknown building_type {b.building_type!r}")
     if not -180.0 <= b.location[0] <= 180.0 or not -90.0 <= b.location[1] <= 90.0:
         bad("location", f"location {b.location} outside WGS84 bounds")
-    for vector, prof in b.demand.items():
+    for vector, values in b.demand.items():
         if vector not in VECTORS:
             bad("demand", f"unknown demand vector {vector!r}")
-        complaint = prof.validate()
-        if complaint:
-            bad("demand", f"{vector} profile: {complaint}")
-        if len(prof.values) != grid.steps:
-            bad("demand", f"{vector} profile has {len(prof.values)} steps, grid has {grid.steps}")
-        if prof.resolution != grid.resolution_minutes:
-            bad("demand", f"{vector} profile resolution {prof.resolution} != grid "
-                          f"{grid.resolution_minutes}")
+        arr = np.asarray(values, dtype=float)
+        if arr.size and float(arr.min()) < 0.0:
+            bad("demand", f"{vector} profile: negative demand value")
+        if not math.isfinite(float(arr.sum())):
+            bad("demand", f"{vector} profile: non-finite demand sum")
+        if len(values) != grid.steps:
+            bad("demand", f"{vector} profile has {len(values)} steps, grid has {grid.steps}")
     for inst in b.installed:
         if inst.size <= 0:
             bad("installed", f"instance {inst.tech_id}: size must be > 0, got {inst.size}")
@@ -417,5 +376,5 @@ def admissible_refurb_variants(b: Building) -> set[int]:
     Componentwise monotone: a refurbished component cannot be un-refurbished,
     so any variant lacking one of the current components is ruled out.
     """
-    current = b.refurb_state.variant_index
+    current = b.variant_index
     return {ir for ir in range(16) if ir & current == current}

@@ -17,13 +17,7 @@ from scipy.sparse import csr_array
 
 from munipath.catalog import restrict_catalog
 from munipath.model import build_model
-from munipath.twin import (
-    Building,
-    DemandProfile,
-    RefurbState,
-    TechnologyInstance,
-    TimeGrid,
-)
+from munipath.twin import Building, TechnologyInstance, TimeGrid, variant_of
 
 INF = math.inf
 
@@ -185,7 +179,7 @@ def make_toy_instance(rng: np.random.Generator, cat):
 
     # three of four components already done: exactly two admissible variants
     done = rng.permutation(["roof", "wall", "window", "cellar"])[:3]
-    state = RefurbState(**{c: True for c in done})
+    state = variant_of(done)
 
     building = Building(
         id="toy",
@@ -195,10 +189,10 @@ def make_toy_instance(rng: np.random.Generator, cat):
         roof_area=float(rng.uniform(80, 160)),
         open_space_area=0.0,
         demand={
-            "space_heat": DemandProfile(tuple(float(v) for v in sh), 120),
-            "electricity": DemandProfile(tuple(float(v) for v in el), 120),
+            "space_heat": tuple(float(v) for v in sh),
+            "electricity": tuple(float(v) for v in el),
         },
-        refurb_state=state,
+        variant_index=state,
         installed=(
             TechnologyInstance(existing_kind, heat_size,
                                int(rng.integers(2010, 2020))),

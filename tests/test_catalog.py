@@ -28,8 +28,6 @@ from munipath.twin import (
     COMPONENTS,
     HEAT_VECTORS,
     Building,
-    DemandProfile,
-    RefurbState,
     TimeGrid,
 )
 
@@ -136,27 +134,27 @@ def test_variant_delta_factor_composes(cat):
 
 
 def _demo_building() -> Building:
-    sh = DemandProfile(tuple(float(x) for x in np.linspace(30.0, 10.0, 24)), 60)
-    hw = DemandProfile((2.0,) * 24, 60)
-    el = DemandProfile((1.5,) * 24, 60)
+    sh = tuple(float(x) for x in np.linspace(30.0, 10.0, 24))
+    hw = (2.0,) * 24
+    el = (1.5,) * 24
     return Building(
         id="demo", location=(9.0, 50.0), building_type="residential",
         construction_year=1968, roof_area=140.0, open_space_area=30.0,
         demand={"space_heat": sh, "hot_water": hw, "electricity": el},
-        refurb_state=RefurbState(roof=True),
+        variant_index=1,  # the roof is done
     )
 
 
 def test_effective_demand_identity_and_scaling(cat):
     b = _demo_building()
     grid = TimeGrid.full_year(60)  # only used for array sizes here
-    base = effective_demand(b, b.refurb_state.variant_index, cat)
-    assert np.allclose(base["space_heat"], np.asarray(b.demand["space_heat"].values))
-    assert np.allclose(base["electricity"], np.asarray(b.demand["electricity"].values))
+    base = effective_demand(b, b.variant_index, cat)
+    assert np.allclose(base["space_heat"], np.asarray(b.demand["space_heat"]))
+    assert np.allclose(base["electricity"], np.asarray(b.demand["electricity"]))
     full = effective_demand(b, 15, cat)
-    factor = variant_delta_factor(cat, b.refurb_state.variant_index, 15, "space_heat")
+    factor = variant_delta_factor(cat, b.variant_index, 15, "space_heat")
     assert np.allclose(full["space_heat"],
-                       np.asarray(b.demand["space_heat"].values) * factor)
+                       np.asarray(b.demand["space_heat"]) * factor)
     # electricity untouched by envelope measures
     assert np.allclose(full["electricity"], base["electricity"])
     assert factor < 1.0

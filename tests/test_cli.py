@@ -16,6 +16,8 @@ from munipath.scenario import default_scenario, save_scenario
 from munipath.solver import SolverError, SolveStatus
 from munipath.twin import load_twin, save_twin
 
+from test_pathway import _fail_solves
+
 EXE = [sys.executable, "-m", "munipath"]
 
 
@@ -322,6 +324,21 @@ def test_plans_not_proven_optimal_are_marked(twin2, tmp_path, monkeypatch, capsy
             assert entry["status"] == "feasible" and entry["gap"] == 0.25
         counts.append(str(len(sd["buildings"])))
     assert _summary_counts(capsys.readouterr().out) == counts
+
+
+def test_unsolved_buildings_are_counted(twin2, tmp_path, monkeypatch, capsys):
+    # b001's free 2030 solve (2023 has only status-quo solves) breaks down
+    # numerically; the run still succeeds
+    _fail_solves(monkeypatch, "free", {"b001"})
+    out_dir = tmp_path / "out"
+    code = cli.main(["pathway", str(twin2), "--periods", "2023,2030",
+                     "--out-dir", str(out_dir), "--workers", "1"])
+    assert code == 0
+    doc = json.loads((out_dir / "path.json").read_text())
+    assert list(doc["stages"][1]["failed"]) == ["b001"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[4] == "unsolved"
+    assert [line.split()[3] for line in lines[1:]] == ["0", "1"]
 
 
 def test_a_bug_in_the_planner_is_not_an_io_failure(twin2, tmp_path, monkeypatch, capsys):

@@ -25,8 +25,6 @@ from munipath.fixtures import make_fixture_twin
 from munipath.solver import SolveStatus, _colwise, solve
 from munipath.twin import (
     Building,
-    DemandProfile,
-    RefurbState,
     TechnologyInstance,
     TimeGrid,
     remaining_lifetime,
@@ -42,8 +40,8 @@ def _boiler_building(annual_heat_kwh: float = 2190.0) -> Building:
     return Building(
         id="hand", location=(9.7, 50.5), building_type="residential",
         construction_year=1995, roof_area=120.0, open_space_area=0.0,
-        demand={"space_heat": DemandProfile((annual_heat_kwh / 365.0,), 1440)},
-        refurb_state=RefurbState(True, True, True, True),
+        demand={"space_heat": (annual_heat_kwh / 365.0,)},
+        variant_index=15,
         installed=(TechnologyInstance("gas_boiler", 10.0, 2015),),
     )
 
@@ -131,7 +129,7 @@ def test_structure_rows_and_variant_bounds(cat, scen, twin20):
     assert len(par) == 1
     assert req.row_ub[par[0]] == float(scen.max_parallel_retrofits)
 
-    current = b.refurb_state.variant_index
+    current = b.variant_index
     for idx, kind in enumerate(arts.var_keys):
         if kind[0] == "variant":
             admissible = kind[1] & current == current
@@ -145,7 +143,7 @@ def test_structure_rows_and_variant_bounds(cat, scen, twin20):
 def test_variant_capex_charges_only_the_components_a_variant_adds(cat, scen):
     twin = make_fixture_twin(5, seed=11, grid=TimeGrid.representative_days(240))
     b = twin.buildings[4]
-    assert b.refurb_state.variant_index == 1  # the roof is done
+    assert b.variant_index == 1  # the roof is done
     arts = build_model(b, cat, scen, twin.grid, target_year=2030, period_years=7)
     variant = arts.cols["variant"]
 
@@ -167,7 +165,7 @@ def test_a_free_envelope_component_still_carries_its_embodied_emissions(cat, sce
     free_roof = dataclasses.replace(cat, refurb={**cat.refurb, "roof": roof})
     twin = make_fixture_twin(1, seed=11)
     b = twin.buildings[0]
-    assert b.refurb_state.variant_index == 0
+    assert b.variant_index == 0
     arts = build_model(b, free_roof, scen, twin.grid, target_year=2030, period_years=7)
     roof_only = arts.cols["variant"][1]
     assert arts.costs.capex[roof_only] == 0.0
@@ -311,7 +309,7 @@ def test_extraction_by_family_equals_a_key_scan(cat, scen, minutes, options):
 
 
 def test_extraction_needs_exactly_one_variant(cat, scen, twin20):
-    b = next(b for b in twin20.buildings if b.refurb_state.variant_index == 0)
+    b = next(b for b in twin20.buildings if b.variant_index == 0)
     arts = build_model(b, cat, scen, twin20.grid, target_year=2030, period_years=7)
     outcome = solve(arts.request)
     variants = arts.cols["variant"]
@@ -346,7 +344,7 @@ def test_buffered_boiler_covers_a_peak_above_its_nameplate(cat, scen):
     # 6 kW boiler, and the buffer tank charged in the quiet step covers it
     grid = TimeGrid(720, ((15, 365.0),))
     b = dataclasses.replace(
-        _boiler_building(), demand={"space_heat": DemandProfile((120.0, 0.0), 720)},
+        _boiler_building(), demand={"space_heat": (120.0, 0.0)},
         installed=(TechnologyInstance("gas_boiler", 6.0, 2015),
                    TechnologyInstance("buffer_tank", 100.0, 2015)))
     arts, outcome, _ = optimize_building(
@@ -406,8 +404,8 @@ def test_pv_generation_capped_by_availability(cat, scen):
     b = Building(
         id="sunny", location=(9.0, 50.0), building_type="commercial",
         construction_year=2005, roof_area=400.0, open_space_area=0.0,
-        demand={"electricity": DemandProfile(tuple(float(v) for v in el), 120)},
-        refurb_state=RefurbState(True, True, True, True),
+        demand={"electricity": tuple(float(v) for v in el)},
+        variant_index=15,
         installed=(TechnologyInstance("grid_connection", 60.0, 2010),),
     )
     _, _, sol = optimize_building(

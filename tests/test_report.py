@@ -16,7 +16,7 @@ from munipath.report import (
     primary_heating,
     reports_from_document,
 )
-from munipath.twin import Building, RefurbState, TechnologyInstance
+from munipath.twin import Building, TechnologyInstance
 
 
 @pytest.fixture(scope="module")
@@ -221,7 +221,7 @@ def _bld(installed) -> Building:
     return Building(
         id="p", location=(9.0, 50.0), building_type="residential",
         construction_year=1990, roof_area=80.0, open_space_area=0.0,
-        refurb_state=RefurbState(), installed=tuple(installed),
+        installed=tuple(installed),
     )
 
 

@@ -1,4 +1,4 @@
-"""Time axis, demand profiles, refurbishment state, and twin ingestion."""
+"""Time axis, demand profiles, envelope state, and twin ingestion."""
 
 import io
 import json
@@ -9,10 +9,8 @@ import pytest
 from munipath.twin import (
     COMPONENTS,
     Building,
-    DemandProfile,
     DuplicateIdError,
     EnergyTwin,
-    RefurbState,
     TechnologyInstance,
     TimeGrid,
     TwinParseError,
@@ -21,6 +19,8 @@ from munipath.twin import (
     load_twin,
     remaining_lifetime,
     save_twin,
+    variant_components,
+    variant_of,
 )
 
 
@@ -105,48 +105,56 @@ def test_grid_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# DemandProfile
-
-
-def test_peak_kw_unit_conversion():
-    assert DemandProfile((1.0, 1.0), 60).peak_kw() == 1.0
-    assert DemandProfile((1.0, 0.5), 15).peak_kw() == 4.0
-    assert DemandProfile((), 60).peak_kw() == 0.0
+# Demand profiles
 
 
 def test_profile_validation_complaints():
-    assert DemandProfile((1.0, 2.0), 60).validate() is None
-    assert "negative" in DemandProfile((1.0, -0.1), 60).validate()
-    assert "resolution" in DemandProfile((1.0,), 7).validate()
-    assert "finite" in DemandProfile((float("nan"),), 60).validate()
+    # a negative value, a NaN, or a resolution other than the grid's (720)
+    for profile, complaint in (
+            ({"values": [1.0, -0.1], "resolution": 720}, "negative demand value"),
+            ({"values": [float("nan"), 1.0]}, "non-finite demand sum"),
+            ({"values": [1.0, 2.0], "resolution": 60}, "resolution 60 != grid 720")):
+        with pytest.raises(TwinValidationError) as err:
+            load_twin(_doc([_minimal_record(demand={"electricity": profile})]))
+        assert err.value.field == "demand" and err.value.building_id == "b1"
+        assert complaint in str(err.value)
+    ok = load_twin(_doc([_minimal_record(demand={"electricity": {"values": [1.0, 2.0]}})]))
+    assert ok.buildings[0].demand["electricity"] == (1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
-# RefurbState and variants
+# Envelope state and variants
 
 
-def test_refurb_state_round_trip_all_16():
-    for ir in range(16):
-        state = RefurbState.from_index(ir)
-        assert state.variant_index == ir
-        assert len(state.components()) == bin(ir).count("1")
-    with pytest.raises(ValueError):
-        RefurbState.from_index(16)
-    with pytest.raises(ValueError):
-        RefurbState.from_index(-1)
-
-
-def _building(state: RefurbState) -> Building:
+def _building(variant_index: int) -> Building:
     return Building(
         id="b", location=(10.0, 51.0), building_type="residential",
         construction_year=1980, roof_area=100.0, open_space_area=0.0,
-        refurb_state=state,
+        variant_index=variant_index,
     )
+
+
+def test_refurb_state_round_trip_all_16():
+    grid = TimeGrid(720, ((15, 365.0),))
+    for ir in range(16):
+        names = variant_components(ir)
+        assert len(names) == bin(ir).count("1")
+        assert variant_of(names) == ir
+        doc = EnergyTwin({}, grid, (_building(ir),)).to_dict()
+        assert doc["buildings"][0]["refurb_state"] == {c: c in names for c in COMPONENTS}
+        assert load_twin(json.dumps(doc)).buildings[0].variant_index == ir
+    with pytest.raises(ValueError):
+        variant_components(16)
+    with pytest.raises(ValueError):
+        variant_components(-1)
+    # the reader ignores unknown components and counts any truthy value
+    rec = _minimal_record(refurb_state={"roof": 1, "wall": 0, "window": "yes", "attic": True})
+    assert load_twin(_doc([rec])).buildings[0].variant_index == variant_of(("roof", "window"))
 
 
 def test_admissible_variants_count_halves_per_done_component():
     for ir in range(16):
-        b = _building(RefurbState.from_index(ir))
+        b = _building(ir)
         adm = admissible_refurb_variants(b)
         assert len(adm) == 2 ** (4 - bin(ir).count("1"))
         # admissible variants never drop a component already done
@@ -155,19 +163,19 @@ def test_admissible_variants_count_halves_per_done_component():
 
 
 def test_admissible_variants_extremes():
-    assert admissible_refurb_variants(_building(RefurbState())) == set(range(16))
-    assert admissible_refurb_variants(_building(RefurbState.from_index(15))) == {15}
+    assert admissible_refurb_variants(_building(0)) == set(range(16))
+    assert admissible_refurb_variants(_building(15)) == {15}
 
 
 def test_admissible_variants_wall_only():
     wall_bit = 1 << COMPONENTS.index("wall")
-    adm = admissible_refurb_variants(_building(RefurbState(wall=True)))
+    adm = admissible_refurb_variants(_building(variant_of(("wall",))))
     assert adm == {ir for ir in range(16) if ir & wall_bit}
     assert len(adm) == 8
 
 
 # ---------------------------------------------------------------------------
-# Lifetime and peaks
+# Lifetime
 
 
 def test_remaining_lifetime_arithmetic():
@@ -184,15 +192,6 @@ def test_remaining_lifetime_non_increasing_and_zero_at_expiry():
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert remaining_lifetime(inst, lifetime, 2010 + lifetime) == 0.0
     assert remaining_lifetime(inst, lifetime, 2010 + lifetime - 1) == 1.0
-
-
-def test_peak_kw_brute_force(twin20):
-    for b in twin20.buildings:
-        for prof in b.demand.values():
-            peak = prof.peak_kw()
-            h = prof.resolution / 60.0
-            assert peak == max(prof.values) / h
-            assert all(peak * h >= v for v in prof.values)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +230,7 @@ def test_load_twin_from_string_and_bytes_and_file(tmp_path):
     grid = TimeGrid(720, ((15, 365.0),))
     b = Building(id="only", location=(9.9, 50.1), building_type="public",
                  construction_year=1999, roof_area=50.0, open_space_area=0.0,
-                 demand={"electricity": DemandProfile((1.0, 2.0), 720)})
+                 demand={"electricity": (1.0, 2.0)})
     twin = EnergyTwin(meta={"id": "mini"}, grid=grid, buildings=(b,))
     text = json.dumps(twin.to_dict())
     for source in (text, text.encode(), io.StringIO(text)):
@@ -332,8 +331,8 @@ def test_sidecar_csv_profiles(tmp_path):
     doc_path = tmp_path / "twin.json"
     doc_path.write_text(_doc([rec]))
     twin = load_twin(doc_path)
-    assert twin.buildings[0].demand["electricity"].values == (1.5, 2.5)
-    assert twin.buildings[0].demand["space_heat"].values == (24.0, 12.0)
+    assert twin.buildings[0].demand["electricity"] == (1.5, 2.5)
+    assert twin.buildings[0].demand["space_heat"] == (24.0, 12.0)
     # referencing a sidecar without a base directory cannot work
     with pytest.raises(TwinParseError):
         load_twin(_doc([rec]))

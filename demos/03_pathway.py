@@ -12,8 +12,10 @@ from munipath import (
     default_catalog,
     default_scenario,
     make_fixture_twin,
+    path_document,
     plan_pathway,
 )
+from munipath.docio import dumps
 from munipath.scenario import retrofit_budgets
 
 cat = default_catalog()
@@ -46,7 +48,8 @@ for st in path.stages:
 # materialize in the following stock, within budget, inside its window
 print("\nchain violations:", path.verify_chain() or "none")
 
-# the path serializes deterministically; same inputs, same bytes
-blob = path.to_json()
+# the run's document (path.json) holds the plan with every stage's report
+# and map; it serializes deterministically: same inputs, same bytes
+blob = dumps(path_document(path, cat))
 print(f"serialized path: {len(blob):,} bytes, "
       f"stages {[s.target_year for s in path.stages]}")

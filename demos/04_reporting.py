@@ -16,10 +16,11 @@ from munipath import (
     make_fixture_twin,
     plan_pathway,
 )
+from munipath.docio import dumps
 from munipath.report import (
     aggregate_stage,
     export_csv,
-    export_geojson,
+    geojson_from_document,
     path_document,
     pathway_deltas,
 )
@@ -43,8 +44,12 @@ for rep in reports:
     print(f"  cost {rep['cost_breakdown']['objective']:,.0f} EUR/a, "
           f"emissions {rep['emissions']['total'] / 1000:,.1f} t/a")
 
+# the self-contained document bundles the path with every stage's report
+# and map, so the exports below read it instead of solving again
+doc = path_document(path, cat)
+
 # stage-over-stage deltas show the direction of travel
-for row in pathway_deltas(path, cat)[1:]:
+for row in pathway_deltas(doc)[1:]:
     print(f"{row['stage_year']}: emissions {row['emissions_delta']:+,.0f} kg/a, "
           f"cost {row['cost_delta']:+,.0f} EUR/a")
 
@@ -55,18 +60,17 @@ for line in csv_text.splitlines()[:3]:
     print("  " + line)
 
 # GeoJSON maps the final stock; properties carry the per-building story
-geo = json.loads(export_geojson(path.stages[-1], cat))
+geo = json.loads(geojson_from_document(doc, path.stages[-1].target_year))
 feat = geo["features"][0]
 print(f"\nGeoJSON: {len(geo['features'])} features; "
       f"{feat['properties']['id']} -> "
       f"{feat['properties']['primary_heating']}, "
       f"{feat['properties']['annual_cost_eur']:,.0f} EUR/a")
 
-# the self-contained document bundles the path with all exports
+# the files `munipath pathway` writes, from the same document
 out = Path(tempfile.mkdtemp(prefix="munipath_demo_"))
-doc = path_document(path, cat)
-(out / "path.json").write_text(json.dumps(doc, indent=1, sort_keys=True))
+(out / "path.json").write_text(dumps(doc))
 (out / "report.csv").write_text(csv_text)
-for st in path.stages:
-    (out / f"stock_{st.target_year}.geojson").write_text(export_geojson(st, cat))
+for year in doc["stage_years"]:
+    (out / f"stock_{year}.geojson").write_text(geojson_from_document(doc, year))
 print(f"\nwrote {sorted(p.name for p in out.iterdir())} to {out}")

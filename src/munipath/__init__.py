@@ -35,7 +35,6 @@ from .pathway import (  # noqa: F401
 from .report import (  # noqa: F401
     aggregate_stage,
     export_csv,
-    export_geojson,
     path_document,
     pathway_deltas,
 )

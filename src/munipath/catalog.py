@@ -226,10 +226,10 @@ class Catalog:
 
 
 def load_catalog(source) -> Catalog:
-    """Read a catalog from any source ``docio.read_text`` takes."""
+    """Read a catalog from a path or from the document's own text."""
     try:
         return Catalog.from_dict(json.loads(read_text(source)[0]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CatalogError(f"malformed catalog: {exc}") from exc
 
 

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from .catalog import Catalog, effective_demand, in_service
-from .docio import dumps
 from .model import (
     BuildingSolution,
     InfeasibleBuildingError,
@@ -28,7 +27,7 @@ from .model import (
     optimize_building,
 )
 from .scenario import BUDGETED_KINDS, ScenarioFrame, cumulative_quota, retrofit_budgets
-from .solver import SolveStatus, load_highs
+from .solver import load_highs
 from .twin import Building, EnergyTwin, TechnologyInstance, TimeGrid
 
 
@@ -51,9 +50,6 @@ class Measure:
     installs: tuple[tuple[str, float], ...] = ()
     drops: tuple[tuple[str, float], ...] = ()
     reduction_score: float = 0.0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -86,19 +82,6 @@ class TransformationPath:
     @property
     def stage_years(self) -> tuple[int, ...]:
         return tuple(st.target_year for st in self.stages)
-
-    def to_dict(self) -> dict:
-        return {
-            "twin_id": self.twin_id,
-            "stage_years": list(self.stage_years),
-            "scenario_id": self.scenario_id,
-            "catalog_id": self.catalog_id,
-            "options": dict(sorted(self.options.items())),
-            "stages": [_stage_dict(st) for st in self.stages],
-        }
-
-    def to_json(self) -> str:
-        return dumps(self.to_dict())
 
     def verify_chain(self) -> list[str]:
         """Cross-stage consistency: committed changes must materialize.
@@ -159,50 +142,6 @@ class TransformationPath:
                 if before.variant_index & b.variant_index != before.variant_index:
                     problems.append(f"{b.id}: refurbishment state regressed")
         return problems
-
-
-def _stage_dict(st: StageResult) -> dict:
-    return {
-        "target_year": st.target_year,
-        "period_years": st.period_years,
-        "budgets": dict(sorted(st.budgets.items())),
-        "realized_rates": dict(sorted(st.realized_rates.items())),
-        "denied": [list(d) for d in sorted(st.denied)],
-        "infeasible": dict(sorted(st.infeasible.items())),
-        # only where a solve failed, so that documents of clean runs keep
-        # their bytes
-        **({"failed": dict(sorted(st.failed.items()))} if st.failed else {}),
-        "measures": [mm.to_dict() for mm in sorted(
-            st.measures, key=lambda mm: (mm.implementation_year, mm.building_id, mm.kind))],
-        "buildings": {
-            bid: _solution_dict(sol) for bid, sol in sorted(st.solutions.items())
-        },
-    }
-
-
-def _solution_dict(sol: BuildingSolution) -> dict:
-    # status and gap only where optimality was not proven, so that documents
-    # of fully solved runs keep their bytes; a gap without a finite bound
-    # (the limit came before the root LP) is null
-    proof = {} if sol.status is SolveStatus.OPTIMAL else {
-        "status": sol.status.value,
-        "gap": sol.gap if sol.gap is not None and math.isfinite(sol.gap) else None}
-    return {
-        **proof,
-        "objective": sol.objective,
-        "variant_index": sol.variant_index,
-        "new_components": list(sol.new_components),
-        "kept": [inst.to_dict() for inst in sol.kept],
-        "dropped": [inst.to_dict() for inst in sol.dropped],
-        "installed": [[t, s] for t, s in sol.installed],
-        "imports": dict(sorted(sol.imports.items())),
-        "export": sol.export,
-        "pv_generation": sol.pv_generation,
-        "self_consumption": sol.self_consumption,
-        "breakdown": sol.breakdown.to_dict(),
-        "emissions": dict(sorted(sol.emissions.items())),
-        "demand_after": dict(sorted(sol.demand_after.items())),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,27 @@
-"""Stock-level reporting on planned stages.
+"""Stock-level reporting on planned stages, and the one writer of a run's
+document.
 
 Turns per-building solutions into the aggregates a municipality actually
 discusses: how many buildings run on what, how much energy crosses the
-boundary, what it costs, and what it emits.  All exports are deterministic
-byte for byte so results can be diffed between runs.
+boundary, what it costs, and what it emits.  ``path_document`` bundles the
+plan with each stage's report and map into the run's document
+(``path.json``), from which every export is regenerated without solving
+again.  All exports are deterministic byte for byte so results can be
+diffed between runs.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
+from dataclasses import asdict
 
 from .catalog import Catalog, CostBreakdown
 from .docio import dumps, write_text
+from .model import BuildingSolution
 from .pathway import StageResult, TransformationPath
+from .solver import SolveStatus
 from .twin import HEAT_VECTORS, Building, variant_components
 
 
@@ -114,12 +122,11 @@ def aggregate_stage(stage: StageResult, cat: Catalog) -> dict:
     }
 
 
-def pathway_deltas(path: TransformationPath, cat: Catalog) -> list[dict]:
-    """Stage-over-stage movement of cost and emissions."""
-    reports = [aggregate_stage(st, cat) for st in path.stages]
+def pathway_deltas(doc: dict) -> list[dict]:
+    """Stage-over-stage movement of cost and emissions in a run's document."""
     out: list[dict] = []
     prev = None
-    for rep in reports:
+    for rep in reports_from_document(doc):
         row = {
             "stage_year": rep["stage_year"],
             "annual_cost": rep["cost_breakdown"]["objective"],
@@ -201,22 +208,63 @@ def stage_geojson(stage: StageResult, cat: Catalog) -> dict:
     }
 
 
-def export_geojson(stage: StageResult, cat: Catalog, sink=None) -> str:
-    """``stage_geojson`` as text, also written to ``sink`` if one is given."""
-    text = dumps(stage_geojson(stage, cat))
-    if sink is not None:
-        write_text(sink, text)
-    return text
-
-
 def path_document(path_obj: TransformationPath, cat: Catalog) -> dict:
-    """The self-contained result document: plan plus per-stage report and
+    """The run's document (``path.json``): plan plus per-stage report and
     map data, so downstream exports never need to re-solve anything."""
-    doc = path_obj.to_dict()
-    for st, st_dict in zip(path_obj.stages, doc["stages"]):
-        st_dict["report"] = aggregate_stage(st, cat)
-        st_dict["geojson"] = stage_geojson(st, cat)
-    return doc
+    return {
+        "twin_id": path_obj.twin_id,
+        "stage_years": list(path_obj.stage_years),
+        "scenario_id": path_obj.scenario_id,
+        "catalog_id": path_obj.catalog_id,
+        "options": dict(sorted(path_obj.options.items())),
+        "stages": [_stage_dict(st, cat) for st in path_obj.stages],
+    }
+
+
+def _stage_dict(st: StageResult, cat: Catalog) -> dict:
+    return {
+        "target_year": st.target_year,
+        "period_years": st.period_years,
+        "budgets": dict(sorted(st.budgets.items())),
+        "realized_rates": dict(sorted(st.realized_rates.items())),
+        "denied": [list(d) for d in sorted(st.denied)],
+        "infeasible": dict(sorted(st.infeasible.items())),
+        # only where a solve failed, so that documents of clean runs keep
+        # their bytes
+        **({"failed": dict(sorted(st.failed.items()))} if st.failed else {}),
+        "measures": [asdict(mm) for mm in sorted(
+            st.measures, key=lambda mm: (mm.implementation_year, mm.building_id, mm.kind))],
+        "buildings": {
+            bid: _solution_dict(sol) for bid, sol in sorted(st.solutions.items())
+        },
+        "report": aggregate_stage(st, cat),
+        "geojson": stage_geojson(st, cat),
+    }
+
+
+def _solution_dict(sol: BuildingSolution) -> dict:
+    # status and gap only where optimality was not proven, so that documents
+    # of fully solved runs keep their bytes; a gap without a finite bound
+    # (the limit came before the root LP) is null
+    proof = {} if sol.status is SolveStatus.OPTIMAL else {
+        "status": sol.status.value,
+        "gap": sol.gap if sol.gap is not None and math.isfinite(sol.gap) else None}
+    return {
+        **proof,
+        "objective": sol.objective,
+        "variant_index": sol.variant_index,
+        "new_components": list(sol.new_components),
+        "kept": [inst.to_dict() for inst in sol.kept],
+        "dropped": [inst.to_dict() for inst in sol.dropped],
+        "installed": [[t, s] for t, s in sol.installed],
+        "imports": dict(sorted(sol.imports.items())),
+        "export": sol.export,
+        "pv_generation": sol.pv_generation,
+        "self_consumption": sol.self_consumption,
+        "breakdown": sol.breakdown.to_dict(),
+        "emissions": dict(sorted(sol.emissions.items())),
+        "demand_after": dict(sorted(sol.demand_after.items())),
+    }
 
 
 def reports_from_document(doc: dict) -> list[dict]:

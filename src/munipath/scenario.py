@@ -107,12 +107,12 @@ class ScenarioFrame:
             )
         except ScenarioError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ScenarioError(f"malformed scenario: {exc}") from exc
 
 
 def load_scenario(source) -> ScenarioFrame:
-    """Read a scenario from any source ``docio.read_text`` takes."""
+    """Read a scenario from a path or from the document's own text."""
     try:
         doc = json.loads(read_text(source)[0])
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -81,6 +81,8 @@ class TimeGrid:
             raise ValueError("resolution must divide 1440 minutes")
         if not self.days:
             raise ValueError("time grid needs at least one day")
+        if not all(0 < w < math.inf for _, w in self.days):
+            raise ValueError("every day weight must be finite and > 0")
 
     @property
     def steps_per_day(self) -> int:
@@ -285,7 +287,7 @@ def _parse_building(data: dict, grid: TimeGrid, base_dir: str | None) -> Buildin
         )
     except TwinError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise TwinParseError(f"malformed building record: {exc}") from exc
     return building
 
@@ -294,10 +296,9 @@ def _validate_building(b: Building, grid: TimeGrid) -> None:
     def bad(field: str, msg: str):
         raise TwinValidationError(f"building {b.id!r}: {msg}", building_id=b.id, field=field)
 
-    if b.roof_area < 0:
-        bad("roof_area", f"roof_area must be >= 0, got {b.roof_area}")
-    if b.open_space_area < 0:
-        bad("open_space_area", f"open_space_area must be >= 0, got {b.open_space_area}")
+    for name in ("roof_area", "open_space_area"):
+        if not 0 <= getattr(b, name) < math.inf:
+            bad(name, f"{name} must be finite and >= 0, got {getattr(b, name)}")
     if b.building_type not in BUILDING_TYPES:
         bad("building_type", f"unknown building_type {b.building_type!r}")
     if not -180.0 <= b.location[0] <= 180.0 or not -90.0 <= b.location[1] <= 90.0:
@@ -313,15 +314,17 @@ def _validate_building(b: Building, grid: TimeGrid) -> None:
         if len(values) != grid.steps:
             bad("demand", f"{vector} profile has {len(values)} steps, grid has {grid.steps}")
     for inst in b.installed:
-        if inst.size <= 0:
-            bad("installed", f"instance {inst.tech_id}: size must be > 0, got {inst.size}")
+        if not 0 < inst.size < math.inf:
+            bad("installed",
+                f"instance {inst.tech_id}: size must be finite and > 0, got {inst.size}")
 
 
 def load_twin(source) -> EnergyTwin:
     """Parse and validate a twin document.
 
-    ``source`` is any form ``docio.read_text`` takes.  Sidecar CSV profile
-    references resolve relative to the document path.
+    ``source`` is a path or the document's own text.  Sidecar CSV profile
+    references resolve relative to the document's directory, so they need
+    a path source.
     """
     try:
         text, base_dir = read_text(source)

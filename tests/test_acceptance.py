@@ -5,7 +5,6 @@ to see them) and then asserts, so a red criterion is visible both ways.
 """
 
 import dataclasses
-import json
 import subprocess
 import sys
 import time
@@ -13,9 +12,10 @@ import time
 import numpy as np
 
 from munipath.catalog import restrict_catalog
+from munipath.docio import dumps
 from munipath.model import build_model, check_solution, optimize_building
 from munipath.pathway import plan_pathway
-from munipath.report import aggregate_stage, export_geojson
+from munipath.report import aggregate_stage, path_document, stage_geojson
 from munipath.scenario import cumulative_quota, retrofit_budgets
 from munipath.solver import SolveRequest, SolveStatus, solve
 from munipath.twin import TechnologyInstance
@@ -226,7 +226,7 @@ def test_criterion_5_chain_and_determinism(planned_path, twin20, cat, scen):
     twin5 = make_fixture_twin(5, seed=3)
     runs = [plan_pathway(twin5, cat, scen, [2023, 2033],
                          params={"mip_gap": 1e-4}) for _ in range(2)]
-    blobs = [p.to_json().encode() for p in runs]
+    blobs = [dumps(path_document(p, cat)).encode() for p in runs]
     if blobs[0] != blobs[1]:
         problems.append("two identical runs serialized differently")
     _verdict(5, "stage chaining sound, repeat run byte-identical", problems)
@@ -252,7 +252,7 @@ def test_criterion_6_accounting_closure(planned_path, cat):
         if em and em["total"] != em["scope1"] + em["scope2"] + em["scope3"]:
             problems.append(f"{stage.target_year}: stage emission total broken")
 
-        geo = json.loads(export_geojson(stage, cat))
+        geo = stage_geojson(stage, cat)
         n_geo = len(geo["features"])
         n_freq = sum(rep["heating_frequency"].values())
         if not (n_geo == n_freq == rep["n_buildings"]):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from munipath.catalog import default_catalog, save_catalog
 from munipath.fixtures import make_fixture_twin
 from munipath.scenario import default_scenario, save_scenario
 from munipath.solver import SolverError, SolveStatus
-from munipath.twin import load_twin, save_twin
+from munipath.twin import TimeGrid, load_twin, save_twin
 
 from test_pathway import _fail_solves
 
@@ -379,6 +380,59 @@ def test_input_that_is_not_utf8_exits_1(twin2, tmp_path, capsys, option):
     args = [str(bad)] if option == "twin" else [str(twin2), option, str(bad)]
     assert cli.main(["validate", *args]) == 1
     assert "invalid input" in capsys.readouterr().err
+
+
+def _validate_args(tmp_path, kind: str, keys: tuple, value) -> list[str]:
+    """``validate`` arguments for the 2-building 240-minute fixture twin and
+    the default catalog and scenario, with the field that ``keys`` lead to
+    in the ``kind`` document set to ``value``."""
+    docs = {"twin": make_fixture_twin(2, seed=11,
+                                      grid=TimeGrid.representative_days(240)).to_dict(),
+            "catalog": default_catalog().to_dict(),
+            "scenario": default_scenario().to_dict()}
+    target = docs[kind]
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    return ["validate", str(tmp_path / "twin.json"),
+            "--catalog", str(tmp_path / "catalog.json"),
+            "--scenario", str(tmp_path / "scenario.json")]
+
+
+# name: (document, keys to the field, a list where an object belongs)
+LIST_FOR_OBJECT = {
+    "twin_refurb_state": ("twin", ("buildings", 0, "refurb_state"), ["roof"]),
+    "twin_demand": ("twin", ("buildings", 0, "demand"), [1.0]),
+    "catalog_demand_factor": ("catalog", ("refurbishment", 0, "demand_factor"), [1]),
+    "scenario_prices": ("scenario", ("prices",), [1]),
+    "scenario_emission_factors": ("scenario", ("emission_factors",), [1]),
+}
+
+
+@pytest.mark.parametrize("case", LIST_FOR_OBJECT)
+def test_a_list_for_an_object_is_invalid_input(tmp_path, case):
+    res = run_cli(*_validate_args(tmp_path, *LIST_FOR_OBJECT[case]))
+    assert res.returncode == 1
+    assert res.stderr.startswith("invalid input: malformed")
+    assert "Traceback" not in res.stderr
+
+
+# name: (document, keys to the field, a value out of its range)
+OUT_OF_RANGE = {
+    "day_weight_negative": ("twin", ("meta", "timegrid", "days", 0, 1), -91.0),
+    "day_weight_zero": ("twin", ("meta", "timegrid", "days", 0, 1), 0.0),
+    "day_weight_nan": ("twin", ("meta", "timegrid", "days", 0, 1), math.nan),
+    "roof_area_nan": ("twin", ("buildings", 0, "roof_area"), math.nan),
+    "installed_size_infinite": ("twin", ("buildings", 0, "installed", 0, "size"), math.inf),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_out_of_range_numbers_are_invalid_input(tmp_path, capsys, case):
+    assert cli.main(_validate_args(tmp_path, *OUT_OF_RANGE[case])) == 1
+    assert capsys.readouterr().err.startswith("invalid input:")
 
 
 def test_default_workers_are_the_usable_cpus(tmp_path, monkeypatch):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from munipath import model, pathway
+from munipath import model, pathway, report
 from munipath.catalog import CostBreakdown, variant_delta_factor
+from munipath.docio import dumps
 from munipath.fixtures import make_fixture_twin
 from munipath.model import BuildingSolution
 from munipath.pathway import (
@@ -21,7 +22,7 @@ from munipath.pathway import (
     plan_pathway,
     plan_stage,
 )
-from munipath.report import stage_geojson
+from munipath.report import path_document, stage_geojson
 from munipath.scenario import cumulative_quota, retrofit_budgets
 from munipath.solver import SolveOutcome, SolveStatus
 from munipath.twin import (
@@ -459,7 +460,7 @@ def test_a_failed_free_solve_is_not_infeasible(monkeypatch, cat, scen):
     assert "solver ended with failed" in st.failed[failed]
     assert failed not in st.infeasible and failed not in st.solutions
     assert set(st.solutions) == {b.id for b in twin.buildings} - {failed}
-    assert pathway._stage_dict(st)["failed"] == st.failed
+    assert report._stage_dict(st, cat)["failed"] == st.failed
     props = {f["properties"]["id"]: f["properties"]
              for f in stage_geojson(st, cat)["features"]}
     assert props[failed]["failed"] == st.failed[failed]
@@ -483,7 +484,7 @@ def test_a_failed_status_quo_solve_is_not_infeasible(monkeypatch, cat, scen):
 
 def test_clean_stage_documents_have_no_failed_key(path6, cat):
     for st in path6.stages:
-        assert st.failed == {} and "failed" not in pathway._stage_dict(st)
+        assert st.failed == {} and "failed" not in report._stage_dict(st, cat)
         assert not any("failed" in f["properties"]
                        for f in stage_geojson(st, cat)["features"])
 
@@ -572,7 +573,7 @@ def serial_path(cat, scen):
 def test_parallel_workers_match_serial(serial_path, cat, scen):
     twin, serial = serial_path
     parallel = plan_pathway(twin, cat, scen, [2023, 2030], params=PARAMS, workers=2)
-    assert serial.to_json() == parallel.to_json()
+    assert dumps(path_document(serial, cat)) == dumps(path_document(parallel, cat))
     assert serial.stages[1].twin_after.to_dict() == parallel.stages[1].twin_after.to_dict()
 
 
@@ -580,7 +581,7 @@ def test_every_role_goes_through_the_pool(serial_path, monkeypatch, cat, scen):
     twin, serial = serial_path
     pools = _record_pools(monkeypatch)
     pooled = plan_pathway(twin, cat, scen, [2023, 2030], params=PARAMS, workers=2)
-    assert pooled.to_json() == serial.to_json()
+    assert dumps(path_document(pooled, cat)) == dumps(path_document(serial, cat))
     assert [pool.max_workers for pool in pools] == [2, 2, 2]
     assert [sorted({_role(t.options) for t in pool.tasks}) for pool in pools] == [
         ["status quo"], ["free", "frozen"], ["re-solve"]]

@@ -6,15 +6,16 @@ import json
 
 import pytest
 
+from munipath.docio import dumps, write_text
 from munipath.report import (
     aggregate_stage,
     export_csv,
-    export_geojson,
     geojson_from_document,
     path_document,
     pathway_deltas,
     primary_heating,
     reports_from_document,
+    stage_geojson,
 )
 from munipath.twin import Building, TechnologyInstance
 
@@ -77,7 +78,7 @@ def test_energy_balance_covers_demand_and_imports(planned_path, reports):
 
 
 def test_pathway_deltas_telescope(planned_path, cat):
-    rows = pathway_deltas(planned_path, cat)
+    rows = pathway_deltas(path_document(planned_path, cat))
     assert [r["stage_year"] for r in rows] == list(planned_path.stage_years)
     assert "cost_delta" not in rows[0]
     for prev, cur in zip(rows, rows[1:]):
@@ -152,7 +153,7 @@ def test_csv_refuses_a_value_that_is_no_number(reports, metric, key, value):
 
 def test_geojson_structure(planned_path, cat, reports):
     for st, rep in zip(planned_path.stages, reports):
-        doc = json.loads(export_geojson(st, cat))
+        doc = stage_geojson(st, cat)
         assert doc["type"] == "FeatureCollection"
         assert doc["stage_year"] == st.target_year
         feats = doc["features"]
@@ -180,10 +181,11 @@ def test_geojson_structure(planned_path, cat, reports):
 
 def test_geojson_deterministic_and_sink_equal(planned_path, cat, tmp_path):
     st = planned_path.stages[-1]
-    a = export_geojson(st, cat)
-    assert a == export_geojson(st, cat)
+    a = geojson_from_document(path_document(planned_path, cat), st.target_year)
+    assert a == geojson_from_document(path_document(planned_path, cat), st.target_year)
+    assert a == dumps(stage_geojson(st, cat))
     out = tmp_path / "stock.geojson"
-    export_geojson(st, cat, out)
+    write_text(out, a)
     assert out.read_bytes() == a.encode("utf-8")
 
 
@@ -196,7 +198,7 @@ def test_path_document_reproduces_exports(planned_path, cat, reports):
     assert [sd["report"] for sd in doc["stages"]] == reports
     assert reports_from_document(doc) == reports
     for st in planned_path.stages:
-        assert geojson_from_document(doc, st.target_year) == export_geojson(st, cat)
+        assert geojson_from_document(doc, st.target_year) == dumps(stage_geojson(st, cat))
 
 
 def test_path_document_survives_json_round_trip(planned_path, cat):

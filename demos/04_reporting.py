@@ -68,9 +68,10 @@ print(f"\nGeoJSON: {len(geo['features'])} features; "
       f"{feat['properties']['annual_cost_eur']:,.0f} EUR/a")
 
 # the files `munipath pathway` writes, from the same document
-out = Path(tempfile.mkdtemp(prefix="munipath_demo_"))
-(out / "path.json").write_text(dumps(doc))
-(out / "report.csv").write_text(csv_text)
-for year in doc["stage_years"]:
-    (out / f"stock_{year}.geojson").write_text(geojson_from_document(doc, year))
-print(f"\nwrote {sorted(p.name for p in out.iterdir())} to {out}")
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp)
+    (out / "path.json").write_text(dumps(doc))
+    (out / "report.csv").write_text(csv_text)
+    for year in doc["stage_years"]:
+        (out / f"stock_{year}.geojson").write_text(geojson_from_document(doc, year))
+    print(f"\nwrote {sorted(p.name for p in out.iterdir())}")

@@ -172,6 +172,8 @@ class Catalog:
 
     def validate(self) -> None:
         for t in self.techs.values():
+            if not _all_finite(t.to_dict()):
+                raise CatalogError(f"{t.id}: non-finite number")
             if t.kind not in (KIND_CONVERTER, KIND_STORAGE, KIND_CONNECTION):
                 raise CatalogError(f"{t.id}: unknown kind {t.kind!r}")
             if t.kind == KIND_CONVERTER:
@@ -188,13 +190,16 @@ class Catalog:
                 raise CatalogError(f"{t.id}: subsidy_rate outside [0, 1]")
             if t.lifetime <= 0:
                 raise CatalogError(f"{t.id}: lifetime must be positive")
-            if t.min_size < 0 or t.max_size < t.min_size:
+            # false for a NaN bound too, which to_dict writes as unbounded
+            if not 0 <= t.min_size <= t.max_size:
                 raise CatalogError(f"{t.id}: size bounds inverted")
             if min(t.capex_fix, t.capex_var, t.opex_fixed, t.deconstruction) < 0:
                 raise CatalogError(f"{t.id}: negative cost entry")
         if set(self.refurb) != set(COMPONENTS):
             raise CatalogError(f"refurb catalog must define exactly {COMPONENTS}")
         for r in self.refurb.values():
+            if not _all_finite(r.to_dict()):
+                raise CatalogError(f"refurb {r.name}: non-finite number")
             if r.cost_per_m2 < 0 or r.area_factor < 0 or r.lifetime <= 0:
                 raise CatalogError(f"refurb {r.name}: bad numbers")
             for v, f in r.demand_factor.items():
@@ -223,6 +228,16 @@ class Catalog:
         )
         cat.validate()
         return cat
+
+
+def _all_finite(doc) -> bool:
+    """Whether every float in a document of dicts, lists and tuples is
+    finite."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, (list, tuple)):
+        return all(_all_finite(v) for v in doc)
+    return not isinstance(doc, float) or math.isfinite(doc)
 
 
 def load_catalog(source) -> Catalog:

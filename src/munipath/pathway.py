@@ -9,14 +9,16 @@ survivors get implementation years spread so no interim year exceeds its
 cumulative quota.  Committed decisions mutate the twin the next stage sees.
 
 Every building problem (status-quo dispatch, frozen plan, free plan and
-restricted re-solve) is one task for ``_solve_one``; each batch of tasks
-runs in a process pool when more than one worker is allowed.
+restricted re-solve) is one task for ``_solve_one``.  When more than one
+worker is allowed, a pathway run opens one process pool and every batch of
+more than one task runs in it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 from .catalog import Catalog, effective_demand, in_service
@@ -180,17 +182,12 @@ def _solve_one(task: _Task) -> _BuildingOutcome:
     return _BuildingOutcome(bid, sol)
 
 
-def _solve_all(tasks: list[_Task], workers: int) -> list[_BuildingOutcome]:
-    """Outcomes in task order, from a process pool when more than one worker
-    and more than one task are given."""
-    n = min(workers, len(tasks))
-    if n <= 1:
+def _solve_all(tasks: list[_Task], pool: Executor | None) -> list[_BuildingOutcome]:
+    """Outcomes in task order, from the run's pool when there is one and the
+    batch has more than one task; a single task is cheaper in-process."""
+    if pool is None or len(tasks) <= 1:
         return [_solve_one(t) for t in tasks]
-    # Forked workers inherit the parent's modules: loading the HiGHS
-    # extension here spares every worker of every pool from loading it.
-    load_highs()
-    with ProcessPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(_solve_one, tasks))
+    return list(pool.map(_solve_one, tasks))
 
 
 def _split_measures(building: Building, cat: Catalog, sol: BuildingSolution,
@@ -310,9 +307,10 @@ def plan_stage(
     target_year: int,
     objective_mode: str = "cost",
     params: dict | None = None,
-    workers: int = 0,
+    pool: Executor | None = None,
 ) -> StageResult:
-    """One full stage: optimize, categorize, rank, cap, re-optimize, commit."""
+    """One full stage: optimize, categorize, rank, cap, re-optimize, commit.
+    Batches of building problems run in ``pool`` when one is given."""
     period = target_year - previous_year
     if period < 1:
         raise PathwayError("target year must lie after the previous stage year")
@@ -325,7 +323,7 @@ def plan_stage(
                   objective_mode=objective_mode, params=params)
     frozen = dict(common, allow_refurb=False, allow_plant_change=False)
     outcomes = _solve_all([_Task(b, cat, scenario, grid, options)
-                           for b in buildings for options in (frozen, common)], workers)
+                           for b in buildings for options in (frozen, common)], pool)
     by_id = {b.id: b for b in buildings}
 
     infeasible: dict[str, str] = {}
@@ -387,7 +385,7 @@ def plan_stage(
             common, allow_refurb="renovation" in granted[bid],
             allow_plant_change=True if "conversion" in granted[bid] else "additions_only"))
         for bid in sorted({bid for bid, _ in denied})]
-    for r in _solve_all(resolves, workers):
+    for r in _solve_all(resolves, pool):
         bid = r.building_id
         if r.solution is None:
             (infeasible if r.infeasible else failed)[bid] = f"re-optimization failed: {r.error}"
@@ -438,13 +436,13 @@ def plan_stage(
 
 def _status_quo_stage(twin: EnergyTwin, cat: Catalog, scenario: ScenarioFrame,
                       year: int, objective_mode: str,
-                      params: dict | None, workers: int) -> StageResult:
+                      params: dict | None, pool: Executor | None) -> StageResult:
     """Valuation of the untouched stock: dispatch only, no decisions."""
     options = dict(target_year=year, period_years=1, objective_mode=objective_mode,
                    allow_refurb=False, allow_plant_change=False,
                    include_transition_costs=False, params=params)
     outcomes = _solve_all([_Task(b, cat, scenario, twin.grid, options)
-                           for b in sorted(twin.buildings, key=lambda b: b.id)], workers)
+                           for b in sorted(twin.buildings, key=lambda b: b.id)], pool)
     solutions = {r.building_id: r.solution for r in outcomes if r.solution is not None}
     unsolved = [r for r in outcomes if r.solution is None]
     if twin.buildings and len(unsolved) == len(twin.buildings):
@@ -473,7 +471,8 @@ def plan_pathway(
     """Plan the full pathway over the given stage years.
 
     The first year values the stock as found (no decisions); each later
-    year is a planning stage whose committed result feeds the next.
+    year is a planning stage whose committed result feeds the next.  With
+    more than one worker, every stage's batches share one process pool.
     """
     years = [int(y) for y in stage_years]
     if len(years) < 2:
@@ -481,20 +480,22 @@ def plan_pathway(
     if years != sorted(set(years)):
         raise PathwayError("stage years must be strictly increasing")
 
-    stages: list[StageResult] = []
-    current = twin
-    first = _status_quo_stage(current, cat, scenario, years[0], objective_mode,
-                              params, workers)
-    stages.append(first)
-    for k in range(1, len(years)):
-        st = plan_stage(
-            current, cat, scenario,
-            previous_year=years[k - 1], target_year=years[k],
-            objective_mode=objective_mode,
-            params=params, workers=workers,
-        )
-        stages.append(st)
-        current = st.twin_after
+    # the largest batch holds a frozen and a free problem per building
+    n = min(workers, 2 * len(twin.buildings))
+    if n > 1:
+        # Forked workers inherit the parent's modules: loading the HiGHS
+        # extension before the first map spares every worker from loading it.
+        load_highs()
+    with ProcessPoolExecutor(max_workers=n) if n > 1 else nullcontext() as pool:
+        stages = [_status_quo_stage(twin, cat, scenario, years[0], objective_mode,
+                                    params, pool)]
+        for k in range(1, len(years)):
+            stages.append(plan_stage(
+                stages[-1].twin_after, cat, scenario,
+                previous_year=years[k - 1], target_year=years[k],
+                objective_mode=objective_mode,
+                params=params, pool=pool,
+            ))
 
     return TransformationPath(
         twin_id=twin.twin_id,

@@ -44,13 +44,14 @@ class ScenarioFrame:
         if list(self.years) != sorted(set(self.years)):
             raise ScenarioError("anchor years must be strictly increasing")
         n = len(self.years)
-        for name, series in list(self.prices.items()) + list(self.emission_factors.items()):
-            if len(series) != n:
-                raise ScenarioError(f"series {name!r} has {len(series)} values, expected {n}")
-        for label, series in (("feed_in_tariff", self.feed_in_tariff),
-                              ("co2_price", self.co2_price)):
+        labelled = [(f"series {name!r}", series) for name, series
+                    in [*self.prices.items(), *self.emission_factors.items()]]
+        labelled += [("feed_in_tariff", self.feed_in_tariff), ("co2_price", self.co2_price)]
+        for label, series in labelled:
             if len(series) != n:
                 raise ScenarioError(f"{label} has {len(series)} values, expected {n}")
+            if not all(math.isfinite(x) for x in series):
+                raise ScenarioError(f"{label} has a non-finite value")
         for kind, cap in self.rate_caps.items():
             if not 0.0 <= cap <= 1.0:
                 raise ScenarioError(f"{kind}_rate_cap outside [0, 1]")

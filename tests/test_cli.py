@@ -386,10 +386,10 @@ def _validate_args(tmp_path, kind: str, keys: tuple, value) -> list[str]:
     """``validate`` arguments for the 2-building 240-minute fixture twin and
     the default catalog and scenario, with the field that ``keys`` lead to
     in the ``kind`` document set to ``value``."""
-    docs = {"twin": make_fixture_twin(2, seed=11,
-                                      grid=TimeGrid.representative_days(240)).to_dict(),
-            "catalog": default_catalog().to_dict(),
-            "scenario": default_scenario().to_dict()}
+    docs = json.loads(json.dumps({
+        "twin": make_fixture_twin(2, seed=11, grid=TimeGrid.representative_days(240)).to_dict(),
+        "catalog": default_catalog().to_dict(),
+        "scenario": default_scenario().to_dict()}))
     target = docs[kind]
     for key in keys[:-1]:
         target = target[key]
@@ -426,6 +426,11 @@ OUT_OF_RANGE = {
     "day_weight_nan": ("twin", ("meta", "timegrid", "days", 0, 1), math.nan),
     "roof_area_nan": ("twin", ("buildings", 0, "roof_area"), math.nan),
     "installed_size_infinite": ("twin", ("buildings", 0, "installed", 0, "size"), math.inf),
+    "electricity_price_nan": ("scenario", ("prices", "electricity", 0), math.nan),
+    "co2_price_infinite": ("scenario", ("co2_price", 0), math.inf),
+    "capex_var_nan": ("catalog", ("technologies", 0, "capex_var"), math.nan),
+    "max_size_nan": ("catalog", ("technologies", 0, "max_size"), math.nan),
+    "refurb_embodied_nan": ("catalog", ("refurbishment", 0, "embodied_per_m2"), math.nan),
 }
 
 
@@ -500,14 +505,14 @@ def test_pathway_bad_workers_exits_2(twin2, tmp_path, workers):
 
 # Runs a pathway through cli.main and prints which of the modules that the
 # HiGHS solves no longer need were imported: in the process itself, and in
-# whichever process ran each building task.
+# whichever process ran each building task, batch by batch.
 _IMPORTS_SCRIPT = """
 import functools, json, os, sys
 from munipath import cli, pathway
 
 UNWANTED = ("scipy.optimize", "scipy.sparse")
 solve_one, solve_all = pathway._solve_one, pathway._solve_all
-seen = []
+batches = []
 
 @functools.wraps(solve_one)
 def task(t):
@@ -515,31 +520,47 @@ def task(t):
     outcome.imports = (os.getpid(), [m for m in UNWANTED if m in sys.modules])
     return outcome
 
-def every(tasks, workers):
-    outcomes = solve_all(tasks, workers)
-    seen.extend(o.imports for o in outcomes)
+def every(tasks, pool):
+    outcomes = solve_all(tasks, pool)
+    batches.append([o.imports for o in outcomes])
     return outcomes
 
 pathway._solve_one, pathway._solve_all = task, every
 code = cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "pid": os.getpid(), "tasks": seen,
+print(json.dumps({"code": code, "pid": os.getpid(), "batches": batches,
                   "imported": [m for m in UNWANTED if m in sys.modules]}))
 """
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_pathway_imports_neither_scipy_optimize_nor_sparse(tmp_path, child_env, workers):
+def _run_imports_script(tmp_path, child_env, periods: str, workers: str) -> dict:
+    """The report of _IMPORTS_SCRIPT on a pathway run of the 2-building
+    240-minute fixture."""
     twin_path = tmp_path / "twin.json"
     assert cli.main(["gen-fixture", "--out", str(twin_path), "--buildings", "2",
                      "--seed", "11", "--resolution", "240"]) == 0
     res = subprocess.run(
         [sys.executable, "-c", _IMPORTS_SCRIPT, "pathway", str(twin_path),
-         "--periods", "2023,2030", "--workers", workers, "--out-dir", str(tmp_path / "out")],
+         "--periods", periods, "--workers", workers, "--out-dir", str(tmp_path / "out")],
         capture_output=True, text=True, env=child_env, timeout=300)
     assert res.returncode == 0, res.stderr
     run = json.loads(res.stdout.splitlines()[-1])
     assert run["code"] == 0
+    return run
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_pathway_imports_neither_scipy_optimize_nor_sparse(tmp_path, child_env, workers):
+    run = _run_imports_script(tmp_path, child_env, "2023,2030", workers)
+    tasks = [task for batch in run["batches"] for task in batch]
     assert run["imported"] == []
-    assert run["tasks"] and all(imported == [] for _, imported in run["tasks"])
-    in_workers = {pid for pid, _ in run["tasks"]} - {run["pid"]}
+    assert tasks and all(imported == [] for _, imported in tasks)
+    in_workers = {pid for pid, _ in tasks} - {run["pid"]}
     assert bool(in_workers) == (workers == "2")
+
+
+def test_a_pathway_run_forks_its_workers_once(tmp_path, child_env):
+    run = _run_imports_script(tmp_path, child_env, "2023,2030,2045", "2")
+    pooled = [batch for batch in run["batches"] if len(batch) > 1]
+    assert len(pooled) >= 3
+    pids = {pid for batch in pooled for pid, _ in batch}
+    assert run["pid"] not in pids and len(pids) <= 2

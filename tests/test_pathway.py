@@ -472,14 +472,14 @@ def test_a_failed_status_quo_solve_is_not_infeasible(monkeypatch, cat, scen):
     ids = {b.id for b in twin.buildings}
     failed = twin.buildings[1].id
     _fail_solves(monkeypatch, "status quo", {failed})
-    st = pathway._status_quo_stage(twin, cat, scen, 2023, "cost", PARAMS, 0)
+    st = pathway._status_quo_stage(twin, cat, scen, 2023, "cost", PARAMS, None)
     assert "solver ended with failed" in st.failed[failed]
     assert st.infeasible == {} and set(st.solutions) == ids - {failed}
     # failed buildings count towards a stock nothing could be solved for
     monkeypatch.undo()
     _fail_solves(monkeypatch, "status quo", ids)
     with pytest.raises(PathwayError, match="no building could be dispatched"):
-        pathway._status_quo_stage(twin, cat, scen, 2023, "cost", PARAMS, 0)
+        pathway._status_quo_stage(twin, cat, scen, 2023, "cost", PARAMS, None)
 
 
 def test_clean_stage_documents_have_no_failed_key(path6, cat):
@@ -513,12 +513,12 @@ def test_pathway_fails_when_nothing_is_solvable(twin6, cat, scen):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: keeps its size and the tasks it was
-    given, and runs them serially in this process."""
+    """Stands in for ProcessPoolExecutor: keeps its size and the tasks of
+    each map it was given, and runs them serially in this process."""
 
     def __init__(self, max_workers):
         self.max_workers = max_workers
-        self.tasks = []
+        self.maps = []
 
     def __enter__(self):
         return self
@@ -527,8 +527,8 @@ class _RecordingPool:
         return False
 
     def map(self, fn, tasks):
-        self.tasks = list(tasks)
-        return map(fn, self.tasks)
+        self.maps.append(list(tasks))
+        return map(fn, self.maps[-1])
 
 
 def _record_pools(monkeypatch) -> list[_RecordingPool]:
@@ -550,15 +550,20 @@ def _role(options: dict) -> str:
     return "re-solve" if "allow_refurb" in options else "free"
 
 
-def test_pool_never_exceeds_the_task_count(monkeypatch):
+def test_pool_never_exceeds_the_task_count(monkeypatch, cat, scen):
     pools = _record_pools(monkeypatch)
+    twin = make_fixture_twin(1, seed=9)
+    plan_pathway(twin, cat, scen, [2023, 2030], params=PARAMS, workers=1)
+    assert pools == []
+    plan_pathway(twin, cat, scen, [2023, 2030], params=PARAMS, workers=64)
+    # one pool, sized by the largest batch: a frozen and a free problem per
+    # building; the one-task status-quo batch ran in-process
+    assert [pool.max_workers for pool in pools] == [2]
+    assert [len(tasks) for tasks in pools[0].maps] == [2]
     monkeypatch.setattr(pathway, "_solve_one", str.upper)
-    assert pathway._solve_all(["a", "b", "c"], workers=64) == ["A", "B", "C"]
-    assert [pool.max_workers for pool in pools] == [3]
-    # one task, or one worker, runs in-process
-    assert pathway._solve_all(["d"], workers=64) == ["D"]
-    assert pathway._solve_all(["e", "f"], workers=1) == ["E", "F"]
-    assert len(pools) == 1
+    assert pathway._solve_all(["a"], pools[0]) == ["A"]
+    assert pathway._solve_all(["b", "c"], None) == ["B", "C"]
+    assert [len(tasks) for tasks in pools[0].maps] == [2]
 
 
 @pytest.fixture(scope="module")
@@ -582,6 +587,6 @@ def test_every_role_goes_through_the_pool(serial_path, monkeypatch, cat, scen):
     pools = _record_pools(monkeypatch)
     pooled = plan_pathway(twin, cat, scen, [2023, 2030], params=PARAMS, workers=2)
     assert dumps(path_document(pooled, cat)) == dumps(path_document(serial, cat))
-    assert [pool.max_workers for pool in pools] == [2, 2, 2]
-    assert [sorted({_role(t.options) for t in pool.tasks}) for pool in pools] == [
+    assert [pool.max_workers for pool in pools] == [2]
+    assert [sorted({_role(t.options) for t in tasks}) for tasks in pools[0].maps] == [
         ["status quo"], ["free", "frozen"], ["re-solve"]]
